@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 
 from .crc import CrcSpec
@@ -76,12 +78,20 @@ class ScenarioConfig:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if not 0.0 < self.alpha1 < 1.0:
             raise ConfigError(f"alpha1 must lie in (0,1), got {self.alpha1}")
+        if not math.isfinite(self.ebn0_db):
+            raise ConfigError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        if not (math.isfinite(self.xi) and self.xi >= 0):
+            raise ConfigError(f"xi must be finite and >= 0, got {self.xi}")
         if self.power <= 0:
             raise ConfigError(f"P must be positive, got {self.power}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise ConfigError(f"d1/d2 must be > 0, got {self.d1}, {self.d2}")
         if self.grand_max_weight < 0 or self.grand_max_weight > self.crc.codeword_len:
             raise ConfigError(f"grand.max_weight out of range: {self.grand_max_weight}")
+        if self.orb_max_logistic_weight is not None and self.orb_max_logistic_weight < 0:
+            raise ConfigError(
+                f"orb.max_logistic_weight must be >= 0, got {self.orb_max_logistic_weight}"
+            )
         if self.orb_query_budget < 1:
             raise ConfigError(f"orb.query_budget must be >= 1, got {self.orb_query_budget}")
         if self.min_block_errors < 1:
@@ -92,6 +102,14 @@ class ScenarioConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.trials_per_batch < 1:
             raise ConfigError(f"trials_per_batch must be >= 1, got {self.trials_per_batch}")
+        if self.alpha1 >= 0.5:
+            warnings.warn(
+                f"alpha1 = {self.alpha1} >= 0.5: sign-based SIC is meaningless here, because the "
+                "sign of the superposed symbol no longer follows the far user's layer "
+                "(DECISIONS.md, D1)",
+                UserWarning,
+                stacklevel=3,
+            )
 
     @property
     def alpha2(self) -> float:

@@ -74,7 +74,6 @@ class CrcCode:
 
     def __init__(self, spec: CrcSpec):
         self.spec = spec
-        self.generator = koopman_to_normal(spec)
         degree = spec.degree
         n = spec.codeword_len
         mask = (1 << degree) - 1
@@ -88,14 +87,15 @@ class CrcCode:
             if s >> degree:
                 s = (s & mask) ^ low
         self.position_syndromes = table
-        self._table_arr = np.asarray(table, dtype=np.uint64)
+        # the same table as an array of the narrowest unsigned dtype that holds a syndrome
+        self.position_syndrome_array = np.asarray(table, dtype=np.min_scalar_type(mask))
         self._rem_shifts = np.arange(degree - 1, -1, -1, dtype=np.uint64)
 
     def syndrome(self, word: np.ndarray) -> int:
         word = np.asarray(word)
         if word.shape != (self.spec.codeword_len,):
             raise ValueError(f"expected word of length {self.spec.codeword_len}, got {word.shape}")
-        picked = self._table_arr[word != 0]
+        picked = self.position_syndrome_array[word != 0]
         if picked.size == 0:
             return 0
         return int(np.bitwise_xor.reduce(picked))
@@ -106,7 +106,7 @@ class CrcCode:
     def check_words(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership test for a (num_words, N) bit matrix."""
         words = np.asarray(words)
-        masked = np.where(words != 0, self._table_arr[None, :], np.uint64(0))
+        masked = np.where(words != 0, self.position_syndrome_array[None, :], np.uint64(0))
         return np.bitwise_xor.reduce(masked, axis=1) == 0
 
     def encode(self, message: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ class CrcCode:
         k = self.spec.message_len
         if message.shape != (k,):
             raise ValueError(f"expected message of length {k}, got {message.shape}")
-        picked = self._table_arr[:k][message != 0]
+        picked = self.position_syndrome_array[:k][message != 0]
         rem = int(np.bitwise_xor.reduce(picked)) if picked.size else 0
         parity = ((np.uint64(rem) >> self._rem_shifts) & np.uint64(1)).astype(np.uint8)
         return np.concatenate([message, parity])

@@ -138,9 +138,8 @@ def equalize(received: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     return np.asarray(received) / (np.sqrt(channel.path_loss) * channel.gains)
 
 
-def hard_demod(symbols: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
-    """Sign rule: bit 0 if Re(y) >= 0 else 1.  `amplitude` is unused for BPSK
-    and kept for interface symmetry with soft demodulation."""
+def hard_demod(symbols: np.ndarray) -> np.ndarray:
+    """Sign rule: bit 0 if Re(y) >= 0 else 1."""
     return (np.real(np.asarray(symbols)) < 0).astype(np.uint8)
 
 

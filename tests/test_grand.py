@@ -228,3 +228,193 @@ def test_permutation_equivariance():
         assert permuted.queries == base.queries
         assert permuted.abandoned == base.abandoned
         assert np.array_equal(permuted.codeword, base.codeword[perm])
+
+
+# ---------------------------------------------------------------- cached schedule vs reference
+
+def _assert_same(fast, slow):
+    assert fast.queries == slow.queries
+    assert fast.abandoned == slow.abandoned
+    assert fast.error_pattern == slow.error_pattern
+    assert np.array_equal(fast.codeword, slow.codeword)
+
+
+def _noisy_crc12_words(ebn0s, per_point, seed):
+    """Hard decisions and LLRs of CRC-12 codewords sent over BPSK/AWGN."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for ebn0 in ebn0s:
+        sigma = np.sqrt(1.0 / (2 * CRC12.rate * 10 ** (ebn0 / 10)))
+        for _ in range(per_point):
+            codeword = crc_encode(rng.integers(0, 2, 116).astype(np.uint8), CRC12)
+            y = 1.0 - 2.0 * codeword + sigma * rng.standard_normal(128)
+            words.append(((y < 0).astype(np.uint8), 2 * y / sigma**2))
+    return words
+
+
+def _orb_reference(word, llrs, code, max_logistic_weight=None, query_budget=1_000_000,
+                   max_hamming_weight=None):
+    patterns = orb_pattern_stream(rank_by_reliability(llrs), max_logistic_weight, max_hamming_weight)
+    return grand_decode(word, code.check, patterns, query_budget)
+
+
+def _hard_reference(word, code, max_weight=4, query_budget=None):
+    return grand_decode(word, code.check, hard_pattern_stream(len(word), max_weight), query_budget)
+
+
+ORB_CAPS = [
+    dict(query_budget=1),
+    dict(query_budget=9),
+    dict(query_budget=500),
+    dict(query_budget=50_000),
+    dict(query_budget=None, max_logistic_weight=30),
+    dict(query_budget=4_000, max_hamming_weight=2),
+    dict(query_budget=2_000, max_hamming_weight=3, max_logistic_weight=40),
+    dict(max_hamming_weight=0),
+]
+
+
+def test_orbgrand_matches_reference_over_caps():
+    code = get_code(CRC12)
+    words = _noisy_crc12_words([2.0, 3.0, 4.0], 4, seed=31)
+    words.append((crc_encode(np.ones(116, np.uint8), CRC12), np.ones(128)))  # zero syndrome
+    for word, llrs in words:
+        for caps in ORB_CAPS:
+            _assert_same(orbgrand_decode(word, llrs, code, **caps),
+                         _orb_reference(word, llrs, code, **caps))
+
+
+def test_hard_grand_matches_reference_over_caps():
+    code = get_code(CRC12)
+    rng = np.random.default_rng(32)
+    for flips in (0, 1, 2, 2, 3, 4):
+        word = crc_encode(rng.integers(0, 2, 116).astype(np.uint8), CRC12)
+        word[rng.choice(128, size=flips, replace=False)] ^= 1
+        for max_weight in range(5):
+            budgets = (None, 1, 60) if flips <= 2 else (1, 60)
+            for budget in budgets:
+                _assert_same(hard_grand_decode(word, code, max_weight, budget),
+                             _hard_reference(word, code, max_weight, budget))
+
+
+def test_whole_order_runs_out_before_the_budget():
+    code = get_code(TOY3)
+    for bits in itertools.product((0, 1), repeat=7):
+        word = np.array(bits, dtype=np.uint8)
+        llrs = np.linspace(-1.0, 2.0, 7)
+        for lw in (None, 0, 2, 5):
+            for hw in (None, 0, 1, 2):
+                for budget in (None, 3, 1000):
+                    caps = dict(max_logistic_weight=lw, max_hamming_weight=hw, query_budget=budget)
+                    _assert_same(orbgrand_decode(word, llrs, code, **caps),
+                                 _orb_reference(word, llrs, code, **caps))
+        for max_weight in range(8):
+            for budget in (None, 3, 1000):
+                _assert_same(hard_grand_decode(word, code, max_weight, budget),
+                             _hard_reference(word, code, max_weight, budget))
+
+
+def test_wide_and_long_codes_decode_like_the_reference():
+    """Index and syndrome dtypes follow n and the CRC degree: n > 255 and a
+    degree above 16 must decode exactly like the reference."""
+    rng = np.random.default_rng(33)
+    for spec in (CrcSpec(0x8F3, 300, 312), CrcSpec(0x80003, 44, 64)):
+        code = get_code(spec)
+        n, k = spec.codeword_len, spec.message_len
+        for _ in range(3):
+            word = crc_encode(rng.integers(0, 2, k).astype(np.uint8), spec)
+            word[rng.choice(n, size=2, replace=False)] ^= 1
+            llrs = rng.normal(size=n)
+            _assert_same(orbgrand_decode(word, llrs, code, query_budget=3_000),
+                         _orb_reference(word, llrs, code, query_budget=3_000))
+            _assert_same(hard_grand_decode(word, code, 2, 3_000),
+                         _hard_reference(word, code, 2, 3_000))
+
+
+def test_cache_fill_state_never_changes_a_result(monkeypatch):
+    """The same decodes give the same results forward, reversed, from an
+    empty cache, and around decodes with other caps that grow the cache."""
+    from grandnoma import grand
+
+    code = get_code(CRC12)
+    jobs = [(word, llrs, caps)
+            for word, llrs in _noisy_crc12_words([2.0, 4.0], 3, seed=34)
+            for caps in (dict(query_budget=20_000), dict(query_budget=None, max_logistic_weight=50),
+                         dict(query_budget=3_000, max_hamming_weight=3))]
+
+    def run(order):
+        return {i: (orbgrand_decode(jobs[i][0], jobs[i][1], code, **jobs[i][2]),
+                    hard_grand_decode(jobs[i][0], code, 3, 5_000)) for i in order}
+
+    forward = run(range(len(jobs)))
+    monkeypatch.setattr(grand, "_ORB_ORDERS", {})
+    monkeypatch.setattr(grand, "_LEADERS", {})
+    backward = run(reversed(range(len(jobs))))
+    for word, llrs, _ in jobs:  # other caps, and a longer scan than any above
+        orbgrand_decode(word, llrs, code, query_budget=200_000, max_hamming_weight=4)
+        hard_grand_decode(word, code, 4, None)
+    again = run(range(len(jobs)))
+    for i in range(len(jobs)):
+        for results in (backward, again):
+            _assert_same(results[i][0], forward[i][0])
+            _assert_same(results[i][1], forward[i][1])
+
+
+def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
+    """Words whose first match is the query just before, at or just after
+    the first chunk boundaries (searches start with 128 queries and double)."""
+    from grandnoma import grand
+
+    monkeypatch.setattr(grand, "_LEADERS", {})
+    code = get_code(CRC12)
+    llrs = np.arange(1.0, 129.0)  # rank r is position r - 1
+    orb = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), 1000))
+    hard = list(itertools.islice(hard_pattern_stream(128, 2), 1000))
+    for query in [*range(126, 133), *range(382, 389), *range(894, 901)]:
+        word = np.zeros(128, dtype=np.uint8)
+        word[list(orb[query - 1])] = 1
+        _assert_same(orbgrand_decode(word, llrs, code), _orb_reference(word, llrs, code))
+        word = np.zeros(128, dtype=np.uint8)
+        word[list(hard[query - 1])] = 1
+        _assert_same(hard_grand_decode(word, code, 2), _hard_reference(word, code, 2))
+
+
+def test_first_hard_search_with_budget_one_decodes_like_the_reference(monkeypatch):
+    """From an empty cache, a budget of 1 fills only the empty guess, before
+    any flip has widened the order."""
+    from grandnoma import grand
+
+    code = get_code(CRC12)
+    word = crc_encode(np.zeros(116, np.uint8), CRC12)
+    word[5] ^= 1
+    for max_weight in (0, 4):
+        monkeypatch.setattr(grand, "_LEADERS", {})
+        _assert_same(hard_grand_decode(word, code, max_weight, 1),
+                     _hard_reference(word, code, max_weight, 1))
+        _assert_same(hard_grand_decode(word, code, max_weight, 2),
+                     _hard_reference(word, code, max_weight, 2))
+
+
+@pytest.mark.parametrize("caps", [
+    dict(query_budget=0), dict(max_logistic_weight=-1), dict(max_hamming_weight=-1),
+])
+def test_orbgrand_rejects_what_the_reference_rejects(caps):
+    code = get_code(CRC12)
+    word = np.zeros(128, dtype=np.uint8)
+    word[7] = 1
+    llrs = np.linspace(-2.0, 2.0, 128)
+    with pytest.raises(ValueError):
+        _orb_reference(word, llrs, code, **caps)
+    with pytest.raises(ValueError):
+        orbgrand_decode(word, llrs, code, **caps)
+
+
+@pytest.mark.parametrize("max_weight,budget", [(4, 0), (-1, None), (129, None)])
+def test_hard_grand_rejects_what_the_reference_rejects(max_weight, budget):
+    code = get_code(CRC12)
+    word = np.zeros(128, dtype=np.uint8)
+    word[7] = 1
+    with pytest.raises(ValueError):
+        _hard_reference(word, code, max_weight, budget)
+    with pytest.raises(ValueError):
+        hard_grand_decode(word, code, max_weight, budget)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,32 @@ def test_config_validation_names_offending_key():
         ScenarioConfig(d1=0.0)
     with pytest.raises(ConfigError, match="min_block_errors"):
         ScenarioConfig(min_block_errors=0)
+
+
+@pytest.mark.parametrize("key,field,value", [
+    ("ebn0_db", "ebn0_db", float("inf")),
+    ("ebn0_db", "ebn0_db", float("nan")),
+    ("xi", "xi", float("nan")),
+    ("xi", "xi", float("inf")),
+    ("xi", "xi", -1.0),
+    ("orb.max_logistic_weight", "orb_max_logistic_weight", -3),
+])
+def test_config_rejects_nonfinite_and_negative_values(key, field, value):
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("alpha1", [0.5, 0.65, 0.95])
+def test_sign_sic_warning_at_or_above_equal_power(alpha1):
+    with pytest.warns(UserWarning, match="sign-based SIC.*DECISIONS.md, D1"):
+        ScenarioConfig(alpha1=alpha1)
+
+
+def test_no_sign_sic_warning_below_equal_power():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ScenarioConfig(alpha1=0.49)
+        ScenarioConfig(xi=0.0, orb_max_logistic_weight=0)
 
 
 def test_ber_monotone_in_snr():
