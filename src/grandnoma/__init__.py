@@ -56,7 +56,6 @@ from .link import (
 from .phy import (
     ChannelRealization,
     SingularChannelError,
-    apply_channel,
     awgn_channel,
     bpsk_modulate,
     compute_llrs,

@@ -89,7 +89,10 @@ class CrcCode:
         self.position_syndromes = table
         # the same table as an array of the narrowest unsigned dtype that holds a syndrome
         self.position_syndrome_array = np.asarray(table, dtype=np.min_scalar_type(mask))
-        self._rem_shifts = np.arange(degree - 1, -1, -1, dtype=np.uint64)
+        # parity_bits[j, t] = bit t (MSB first) of position j's syndrome, for message positions
+        syndromes = self.position_syndrome_array[: spec.message_len, None]
+        shifts = np.arange(degree - 1, -1, -1, dtype=syndromes.dtype)
+        self._parity_bits = ((syndromes >> shifts) & 1).astype(float)
 
     def syndrome(self, word: np.ndarray) -> int:
         word = np.asarray(word)
@@ -110,14 +113,18 @@ class CrcCode:
         return np.bitwise_xor.reduce(masked, axis=1) == 0
 
     def encode(self, message: np.ndarray) -> np.ndarray:
+        """Systematic encoding of a (..., k) array of messages.
+
+        Parity bit t is the GF(2) sum of bit t of the syndromes of the set
+        message bits: one integer-valued matrix product, exact in floating
+        point, taken mod 2.
+        """
         message = np.asarray(message, dtype=np.uint8)
         k = self.spec.message_len
-        if message.shape != (k,):
-            raise ValueError(f"expected message of length {k}, got {message.shape}")
-        picked = self.position_syndrome_array[:k][message != 0]
-        rem = int(np.bitwise_xor.reduce(picked)) if picked.size else 0
-        parity = ((np.uint64(rem) >> self._rem_shifts) & np.uint64(1)).astype(np.uint8)
-        return np.concatenate([message, parity])
+        if message.ndim == 0 or message.shape[-1] != k:
+            raise ValueError(f"expected messages of length {k}, got shape {message.shape}")
+        parity = (message @ self._parity_bits) % 2
+        return np.concatenate([message, parity.astype(np.uint8)], axis=-1)
 
 
 @lru_cache(maxsize=None)

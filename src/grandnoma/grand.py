@@ -277,32 +277,54 @@ class _GuessOrder:
 class _SyndromeLeaders:
     """The first pattern of each syndrome along the hard order of one code,
     with its query index, filled as far as the searches so far have needed.
-    Scanned queries are released from the order; only the leaders stay."""
+    Scanned queries are released from the order; only the leaders stay, in
+    three arrays sorted by syndrome: the syndrome, its first query, and that
+    query's row of the order (positions + 1, zero-padded).  Lookups bisect
+    memoryviews of the first two, which index to plain ints."""
 
     def __init__(self, code: CrcCode):
         n = code.spec.codeword_len
         self.order = _GuessOrder(hard_pattern_stream(n, n), n, logistic=False)
-        self.positions = np.arange(n)
         self.synd = np.zeros(n + 1, code.position_syndrome_array.dtype)
         self.synd[1:] = code.position_syndrome_array
-        self.first: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.rows = np.zeros((0, 1), self.order.rows.dtype)
+        self._pack(np.zeros(0, self.synd.dtype), np.zeros(0, np.int64))
+
+    def _pack(self, syndromes: np.ndarray, queries: np.ndarray) -> None:
+        self.syndromes, self.queries = syndromes, queries
+        self._syndrome_view, self._query_view = memoryview(syndromes), memoryview(queries)
+
+    def _find(self, target: int) -> int | None:
+        """Index of `target` among the leaders found, or None."""
+        i = bisect.bisect_left(self._syndrome_view, target)
+        return i if i < len(self._syndrome_view) and self._syndrome_view[i] == target else None
+
+    def _scan(self, a: int, b: int) -> None:
+        """Add the leaders first seen among queries a+1..b."""
+        values, offsets = np.unique(self.order.syndromes(self.synd, a, b), return_index=True)
+        new = ~np.isin(values, self.syndromes, assume_unique=True)
+        values, offsets = values[new], offsets[new]
+        rows = self.order.rows[offsets + a - self.order.base]  # never narrower than earlier rows
+        at = np.searchsorted(self.syndromes, values)
+        wider = np.pad(self.rows, ((0, 0), (0, rows.shape[1] - self.rows.shape[1])))
+        self.rows = np.insert(wider, at, rows, axis=0)
+        self._pack(np.insert(self.syndromes, at, values), np.insert(self.queries, at, offsets + a + 1))
 
     def leader(self, target: int, max_weight: int, budget: int | None):
         """(pattern, queries) for the first pattern with syndrome `target`, or
         (None, queries) when the capped, budgeted order has none."""
-        if target not in self.first:
+        i = self._find(target)
+        if i is None:
             for a, b in self.order.chunks(self.order.base, max_weight, budget):
-                values, offsets = np.unique(self.order.syndromes(self.synd, a, b), return_index=True)
-                for value, query in zip(values.tolist(), (offsets + a + 1).tolist()):
-                    if value not in self.first:
-                        self.first[value] = (query, self.order.pattern(query, self.positions))
+                self._scan(a, b)
                 self.order.release(b)
-                if target in self.first:
+                i = self._find(target)
+                if i is not None:
                     break
-        query, pattern = self.first.get(target, (None, None))
         stop = self.order.stop(max_weight, budget)
+        query = None if i is None else self._query_view[i]
         if query is not None and (stop is None or query <= stop):
-            return pattern, query
+            return tuple(sorted(p - 1 for p in self.rows[i].tolist() if p)), query
         return None, stop
 
 

@@ -5,7 +5,9 @@ Every trial owns an independent random stream derived from
 (master_seed, point_index, trial_index) through a counter-based generator, so
 results are bit-identical for any worker count: trials are executed in fixed
 batches of `trials_per_batch` and batch totals are merged in index order.
-The stopping rule is evaluated on merged batches only.
+The stopping rule is evaluated on merged batches only.  Within a batch,
+trials run through the link in blocks of `TRIALS_PER_BLOCK`, one vectorized
+pass per block; the records do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "GRANDNOMA_WORKERS"
+
+# Trials per `run_trial` call.  Speed is flat from 16 to 64; larger blocks
+# cost resident memory (DECISIONS.md, D4).
+TRIALS_PER_BLOCK = 32
 
 CSV_FIELDS = [
     "scenario", "decoder", "channel", "ebn0_db", "alpha1", "d1", "d2", "user",
@@ -95,16 +101,17 @@ class _Totals:
     queries_assist: int = 0
 
     def add(self, outcome) -> None:
-        self.blocks += 1
-        self.bit_errors_u1 += outcome.bit_errors_user1
-        self.bit_errors_u2 += outcome.bit_errors_user2
-        self.block_errors_u1 += outcome.block_error_user1
-        self.block_errors_u2 += outcome.block_error_user2
-        self.recon_errors += outcome.sic_reconstruction_errors
-        self.undetected += outcome.undetected_error_user1_assist
-        self.queries_u1 += outcome.queries_user1
-        self.queries_u2 += outcome.queries_user2
-        self.queries_assist += outcome.queries_assist
+        """Count a block of trials: a TrialOutcome of per-trial arrays."""
+        self.blocks += len(outcome.bit_errors_user1)
+        self.bit_errors_u1 += int(outcome.bit_errors_user1.sum())
+        self.bit_errors_u2 += int(outcome.bit_errors_user2.sum())
+        self.block_errors_u1 += int(outcome.block_error_user1.sum())
+        self.block_errors_u2 += int(outcome.block_error_user2.sum())
+        self.recon_errors += int(outcome.sic_reconstruction_errors.sum())
+        self.undetected += int(outcome.undetected_error_user1_assist.sum())
+        self.queries_u1 += int(outcome.queries_user1.sum())
+        self.queries_u2 += int(outcome.queries_user2.sum())
+        self.queries_assist += int(outcome.queries_assist.sum())
 
     def merge(self, other: "_Totals") -> None:
         for field in dataclasses.fields(self):
@@ -113,9 +120,10 @@ class _Totals:
 
 def _run_batch(cfg: ScenarioConfig, point_index: int, start: int, count: int) -> _Totals:
     totals = _Totals()
-    for trial_index in range(start, start + count):
-        rng = derive_trial_rng(cfg.master_seed, point_index, trial_index)
-        totals.add(run_trial(cfg, rng))
+    end = start + count
+    for first in range(start, end, TRIALS_PER_BLOCK):
+        trials = range(first, min(first + TRIALS_PER_BLOCK, end))
+        totals.add(run_trial(cfg, [derive_trial_rng(cfg.master_seed, point_index, t) for t in trials]))
     return totals
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "rayleigh_channel",
     "bpsk_modulate",
     "superimpose",
-    "apply_channel",
     "propagate",
     "equalize",
     "hard_demod",
@@ -51,12 +50,13 @@ def path_loss(distance: float, exponent: float) -> float:
 
 @dataclass
 class ChannelRealization:
-    """Per-symbol complex gains plus the scalar path-loss factor for one user."""
+    """Per-symbol complex gains plus the scalar path-loss factor for one user.
+
+    `gains` has shape (m,) for one trial, or (B, m) for a block of B trials
+    at one operating point, which share the path loss."""
 
     gains: np.ndarray
     path_loss: float
-    distance: float = 1.0
-    exponent: float = 2.0
 
 
 def awgn_channel(num_symbols: int, distance: float = 1.0, exponent: float = 2.0) -> ChannelRealization:
@@ -64,8 +64,6 @@ def awgn_channel(num_symbols: int, distance: float = 1.0, exponent: float = 2.0)
     return ChannelRealization(
         gains=np.ones(num_symbols, dtype=np.complex128),
         path_loss=path_loss(distance, exponent),
-        distance=distance,
-        exponent=exponent,
     )
 
 
@@ -75,19 +73,17 @@ def rayleigh_channel(
     distance: float = 1.0,
     exponent: float = 2.0,
 ) -> ChannelRealization:
-    """Per-symbol i.i.d. CN(0,1) gains; redraws the vector on a degenerate gain."""
+    """Per-symbol i.i.d. CN(0,1) gains; redraws the vector on a degenerate gain.
+
+    One normal draw holds the real parts, then the imaginary parts: the
+    same numbers as a draw for each, since normals keep no state between
+    calls."""
     while True:
-        re = rng.standard_normal(num_symbols)
-        im = rng.standard_normal(num_symbols)
-        gains = (re + 1j * im) * np.sqrt(0.5)
+        z = rng.standard_normal(2 * num_symbols)
+        gains = (z[:num_symbols] + 1j * z[num_symbols:]) * np.sqrt(0.5)
         if np.abs(gains).min() >= GAIN_FLOOR:
             break
-    return ChannelRealization(
-        gains=gains,
-        path_loss=path_loss(distance, exponent),
-        distance=distance,
-        exponent=exponent,
-    )
+    return ChannelRealization(gains=gains, path_loss=path_loss(distance, exponent))
 
 
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
@@ -114,21 +110,6 @@ def superimpose(s1: np.ndarray, s2: np.ndarray, alpha1: float, alpha2: float, po
 def propagate(symbols: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """Apply fading and path loss without noise: sqrt(L) * h * s."""
     return np.sqrt(channel.path_loss) * channel.gains * np.asarray(symbols)
-
-
-def apply_channel(
-    symbols: np.ndarray,
-    channel: ChannelRealization,
-    sigma2: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """r = sqrt(L) * h * s + n with n ~ CN(0, sigma2) per symbol."""
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    m = len(np.asarray(symbols))
-    scale = np.sqrt(sigma2 / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return propagate(symbols, channel) + noise
 
 
 def equalize(received: np.ndarray, channel: ChannelRealization) -> np.ndarray:

@@ -81,3 +81,40 @@ def min_weight_codeword(code, max_weight=4):
         word[list(best)] = 1
         return word
     raise RuntimeError("no codeword found within the searched weight")
+
+
+def apply_channel(symbols, channel, sigma2, rng):
+    """r = sqrt(L) * h * s + n with n ~ CN(0, sigma2) per symbol."""
+    if sigma2 < 0:
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    m = len(np.asarray(symbols))
+    scale = np.sqrt(sigma2 / 2.0)
+    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return np.sqrt(channel.path_loss) * channel.gains * np.asarray(symbols) + noise
+
+
+def draw_trial_by_parts(cfg, rng):
+    """One trial's draws with a separate call for each user and part: the
+    messages u1 and u2, then for Rayleigh the real and the imaginary gains
+    of user 1 and of user 2 (each redrawn while a gain is below 1e-12), then
+    the real and the imaginary noise of user 1 and of user 2.
+
+    Returns (u1, u2, gains1, gains2, n1, n2); the gains are None for AWGN."""
+    k = cfg.crc.message_len
+    m = cfg.crc.codeword_len
+    u1 = rng.integers(0, 2, size=k).astype(np.uint8)
+    u2 = rng.integers(0, 2, size=k).astype(np.uint8)
+    gains = [None, None]
+    if cfg.channel == "rayleigh":
+        for user in range(2):
+            while True:
+                re = rng.standard_normal(m)
+                im = rng.standard_normal(m)
+                g = (re + 1j * im) * np.sqrt(0.5)
+                if np.abs(g).min() >= 1e-12:
+                    break
+            gains[user] = g
+    scale = np.sqrt(cfg.sigma2 / 2.0)
+    n1 = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    n2 = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return u1, u2, gains[0], gains[1], n1, n2

@@ -137,3 +137,20 @@ def test_codebook_matches_bruteforce_on_toy_code():
     encoded = {bytes(crc_encode(np.array(b, dtype=np.uint8), TOY4))
                for b in itertools.product((0, 1), repeat=8)}
     assert encoded == codebook
+
+
+@pytest.mark.parametrize("spec", [CRC12, TOY3, CrcSpec(0xA6, 57, 65), CrcSpec(0x8F3, 300, 312)])
+def test_encode_of_a_message_block_matches_long_division(spec):
+    rng = np.random.default_rng(8)
+    k = spec.message_len
+    gen = list(koopman_to_normal(spec))
+    messages = rng.integers(0, 2, (3, 5, k)).astype(np.uint8)
+    words = crc_encode(messages, spec)
+    assert words.shape == (3, 5, spec.codeword_len) and words.dtype == np.uint8
+    for msg, word in zip(messages.reshape(-1, k), words.reshape(-1, spec.codeword_len)):
+        assert list(word) == list(msg) + long_division_remainder(list(msg), gen)
+        assert np.array_equal(crc_encode(msg, spec), word)
+    with pytest.raises(ValueError):
+        crc_encode(np.zeros((4, k - 1), dtype=np.uint8), spec)
+    with pytest.raises(ValueError):
+        crc_encode(np.uint8(1), spec)

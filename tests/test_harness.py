@@ -14,6 +14,7 @@ from grandnoma import (
     run_sweep,
     write_records,
 )
+from grandnoma import harness
 from grandnoma.harness import CSV_FIELDS, WORKERS_ENV_VAR
 
 EXPECTED_HEADER = (
@@ -50,6 +51,20 @@ def test_worker_count_does_not_change_records():
     rec1 = run_point(cfg, 0)
     rec2 = run_point(cfg.at(workers=2), 0)
     assert records_equal(rec1[0], rec2[0]) and records_equal(rec1[1], rec2[1])
+
+
+@pytest.mark.parametrize("block", [1, 5, 300])
+def test_block_size_does_not_change_records(block, monkeypatch):
+    """Records are the same for any number of trials per vectorized block,
+    with batches that are not multiples of it and a stop inside the run."""
+    cfg = ScenarioConfig(scenario="grand-assist", decoder="orbgrand", channel="rayleigh",
+                         ebn0_db=18.0, d2=1.5, min_block_errors=8, max_blocks=10_000,
+                         trials_per_batch=45, orb_query_budget=5000, master_seed=17)
+    base = run_point(cfg, 3)
+    monkeypatch.setattr(harness, "TRIALS_PER_BLOCK", block)
+    other = run_point(cfg, 3)
+    assert base[0].blocks % 45 == 0 and base[0].blocks > 45
+    assert records_equal(base[0], other[0]) and records_equal(base[1], other[1])
 
 
 def test_workers_env_var_override(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from grandnoma import (
+    CrcSpec,
     ScenarioConfig,
     bpsk_modulate,
     crc_encode,
@@ -14,10 +15,10 @@ from grandnoma import (
     transmit,
 )
 from grandnoma.crc import get_code
-from grandnoma.link import draw_trial, simulate_trial
+from grandnoma.link import TrialOutcome, draw_trial, simulate_trial
 from grandnoma.phy import equalize, hard_demod, propagate, rayleigh_channel
 
-from oracles import min_weight_codeword
+from oracles import draw_trial_by_parts, min_weight_codeword
 
 ALL_MODES = [
     ("pure", "grand"),
@@ -167,8 +168,8 @@ def test_matched_draws_across_scenarios():
     da = draw_trial(cfg_a, derive_trial_rng(5, 0, 9))
     db = draw_trial(cfg_b, derive_trial_rng(5, 0, 9))
     assert np.array_equal(da.u1, db.u1) and np.array_equal(da.u2, db.u2)
-    assert np.allclose(da.ch1.gains, db.ch1.gains)
-    assert np.allclose(da.n1, db.n1) and np.allclose(da.n2, db.n2)
+    assert np.array_equal(da.ch1.gains, db.ch1.gains)
+    assert np.array_equal(da.n1, db.n1) and np.array_equal(da.n2, db.n2)
 
 
 def test_outcome_fields_complete():
@@ -217,3 +218,58 @@ def test_noiseless_sign_sic_above_equal_power(alpha1):
         errors2 += out.bit_errors_user2
     low, high = binom.interval(1 - 1e-6, trials * cfg.crc.message_len, 0.5)
     assert low <= errors2 <= high
+
+
+OUTCOME_FIELDS = [f.name for f in dataclasses.fields(TrialOutcome)]
+BLOCK_CASES = [
+    *[(dict(scenario="grand-assist", decoder="orbgrand", channel="rayleigh", ebn0_db=20.0, d2=1.5), b)
+      for b in (1, 7, 32, 33)],
+    (dict(scenario="grand-assist", decoder="grand", channel="rayleigh", ebn0_db=14.0), 33),
+    (dict(scenario="grand", decoder="orbgrand", channel="awgn", ebn0_db=8.0, orb_query_budget=1), 32),
+    (dict(scenario="grand", decoder="grand", channel="awgn", ebn0_db=7.0, d1=0.8, d2=2.0), 33),
+    (dict(scenario="pure", channel="rayleigh", ebn0_db=12.0), 33),
+    (dict(scenario="grand-assist", decoder="orbgrand", channel="awgn", ebn0_db=14.0, alpha1=0.6,
+          orb_query_budget=2000), 7),
+]
+
+
+@pytest.mark.filterwarnings("ignore:alpha1 = 0.6")
+@pytest.mark.parametrize("kwargs,trials", BLOCK_CASES)
+def test_block_equals_single_trials(kwargs, trials):
+    """A block of B generators gives, field by field, the B outcomes of the
+    single-generator calls, in generator order; a single generator gives
+    plain Python scalars."""
+    cfg = ScenarioConfig(**kwargs)
+    block = run_trial(cfg, [derive_trial_rng(61, 2, i) for i in range(trials)])
+    singles = [run_trial(cfg, derive_trial_rng(61, 2, i)) for i in range(trials)]
+    for name in OUTCOME_FIELDS:
+        got = getattr(block, name)
+        assert got.shape == (trials,), name
+        assert got.tolist() == [getattr(one, name) for one in singles], name
+        assert all(type(getattr(one, name)) in (int, bool) for one in singles), name
+    if kwargs.get("orb_query_budget") == 1:
+        assert block.abandoned_user2.any()
+
+
+def test_run_trial_rejects_an_empty_block():
+    with pytest.raises(ValueError):
+        run_trial(ScenarioConfig(), [])
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("message_len", [116, 51])
+def test_draw_matches_per_part_reference(channel, message_len):
+    """The merged draws give exactly the numbers of one call per user and
+    part, for even and odd message lengths."""
+    crc = CrcSpec(koopman=0x8F3, message_len=message_len, codeword_len=message_len + 12)
+    cfg = ScenarioConfig(channel=channel, ebn0_db=6.0, crc=crc, d1=1.3, d2=2.1)
+    for i in range(25):
+        draw = draw_trial(cfg, derive_trial_rng(63, 1, i))
+        u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, derive_trial_rng(63, 1, i))
+        assert np.array_equal(draw.u1, u1) and np.array_equal(draw.u2, u2)
+        assert np.array_equal(draw.n1, n1) and np.array_equal(draw.n2, n2)
+        if channel == "rayleigh":
+            assert np.array_equal(draw.ch1.gains, g1) and np.array_equal(draw.ch2.gains, g2)
+        else:
+            assert np.array_equal(draw.ch1.gains, np.ones(cfg.crc.codeword_len))
+        assert draw.ch1.path_loss == 1.3 ** -2.0 and draw.ch2.path_loss == 2.1 ** -2.0

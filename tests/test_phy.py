@@ -3,7 +3,6 @@ import pytest
 
 from grandnoma import (
     SingularChannelError,
-    apply_channel,
     awgn_channel,
     bpsk_modulate,
     compute_llrs,
@@ -17,6 +16,8 @@ from grandnoma import (
     superimpose,
 )
 from grandnoma.phy import ChannelRealization
+
+from oracles import apply_channel
 
 SQ34 = np.sqrt(0.75)  # 0.8660...
 
