@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -100,6 +101,9 @@ class ScenarioConfig:
             raise ConfigError(f"max_blocks must be >= 1, got {self.max_blocks}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if self.trials_per_batch < 1:
             raise ConfigError(f"trials_per_batch must be >= 1, got {self.trials_per_batch}")
         if self.alpha1 >= 0.5:

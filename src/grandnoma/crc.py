@@ -106,12 +106,6 @@ class CrcCode:
     def check(self, word: np.ndarray) -> bool:
         return self.syndrome(word) == 0
 
-    def check_words(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for a (num_words, N) bit matrix."""
-        words = np.asarray(words)
-        masked = np.where(words != 0, self.position_syndrome_array[None, :], np.uint64(0))
-        return np.bitwise_xor.reduce(masked, axis=1) == 0
-
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Systematic encoding of a (..., k) array of messages.
 

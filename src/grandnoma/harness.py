@@ -7,7 +7,10 @@ results are bit-identical for any worker count: trials are executed in fixed
 batches of `trials_per_batch` and batch totals are merged in index order.
 The stopping rule is evaluated on merged batches only.  Within a batch,
 trials run through the link in blocks of `TRIALS_PER_BLOCK`, one vectorized
-pass per block; the records do not depend on the block size.
+pass per block; the records do not depend on the block size.  A batch
+derives the Philox keys of all its trials in one vectorized pass and serves
+every trial from one generator, re-keyed per trial: the same streams as
+`derive_trial_rng` (DECISIONS.md, D5).
 """
 
 from __future__ import annotations
@@ -87,6 +90,122 @@ def derive_trial_rng(master_seed: int, point_index: int, trial_index: int) -> np
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, the
+# hash constants of its entropy mixing (A) and of `generate_state` (B), and
+# the multipliers of `mix`.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, least
+    significant first, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix on an int or a uint32 array; returns the mixed
+    value and the next hash constant, which does not depend on the value."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _absorb(pool: list, word, hash_const: int):
+    """Mix one entropy word into every pool word (SeedSequence's loop over
+    the entropy beyond the pool size)."""
+    mixed = []
+    for dst in pool:
+        value, hash_const = _hashmix(word, hash_const)
+        mixed.append(_mix(dst, value))
+    return mixed, hash_const
+
+
+def _philox_keys(master_seed: int, point_index: int, first: int, count: int) -> np.ndarray:
+    """The (count, 2) uint64 Philox keys of trials first .. first+count-1.
+
+    Row i equals `SeedSequence(master_seed, spawn_key=(point_index, first +
+    i)).generate_state(2, np.uint64)`, the key `derive_trial_rng` gives its
+    Philox.  A spawn key pads the seed's words with zeros to the pool size,
+    so the trial's words are always mixed last: the pool after the seed and
+    point words is computed once, and only the trial's words and
+    `generate_state` run per trial, vectorized over the trials with the same
+    number of words.
+    """
+    seed_words = _words(int(master_seed))
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(int(point_index))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        pool, hash_const = _absorb(pool, word, hash_const)
+
+    keys = np.empty((count, 2), dtype=np.uint64)
+    start, end = first, first + count
+    while start < end:
+        # trials below 2**32 are one word, the others two
+        n_words = len(_words(start))
+        stop = min(end, 1 << 32 * n_words)
+        trials = np.arange(start, stop, dtype=np.uint64)
+        state = [np.full(stop - start, p, dtype=np.uint32) for p in pool]
+        h = hash_const
+        for j in range(n_words):
+            state, h = _absorb(state, (trials >> 32 * j & _MASK32).astype(np.uint32), h)
+        h = _INIT_B
+        for i, p in enumerate(state):
+            state[i], h = _hashmix(p, h, _MULT_B)
+        # four 32-bit words, read as two little-endian 64-bit words
+        rows = slice(start - first, stop - first)
+        keys[rows, 0] = state[0] | state[1].astype(np.uint64) << 32
+        keys[rows, 1] = state[2] | state[3].astype(np.uint64) << 32
+        start = stop
+    return keys
+
+
+class _TrialStreams:
+    """The streams of consecutive trials, served by one generator.
+
+    Iterating re-keys one Philox to each trial's key, with counter 0 and an
+    empty buffer, which is the state `Philox(SeedSequence(...))` starts in,
+    and yields its Generator.  Every item is that same object, so each must
+    be drawn from completely before the next is requested.
+    """
+
+    def __init__(self, rng: np.random.Generator, keys: list[list[int]]):
+        self.rng = rng
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for key in self.keys:
+            state["state"]["key"] = key
+            self.rng.bit_generator.state = state
+            yield self.rng
+
+
 @dataclass
 class _Totals:
     blocks: int = 0
@@ -120,10 +239,10 @@ class _Totals:
 
 def _run_batch(cfg: ScenarioConfig, point_index: int, start: int, count: int) -> _Totals:
     totals = _Totals()
-    end = start + count
-    for first in range(start, end, TRIALS_PER_BLOCK):
-        trials = range(first, min(first + TRIALS_PER_BLOCK, end))
-        totals.add(run_trial(cfg, [derive_trial_rng(cfg.master_seed, point_index, t) for t in trials]))
+    keys = _philox_keys(cfg.master_seed, point_index, start, count).tolist()
+    rng = np.random.Generator(np.random.Philox())
+    for first in range(0, count, TRIALS_PER_BLOCK):
+        totals.add(run_trial(cfg, _TrialStreams(rng, keys[first:first + TRIALS_PER_BLOCK])))
     return totals
 
 

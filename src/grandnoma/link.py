@@ -17,15 +17,15 @@ real axis).
 
 Every stage works on one trial or on a block of trials stacked along
 leading axes: the PHY and CRC arithmetic runs once over the block, and only
-the decoders run once per word.  `run_trial` draws each trial from its own
-generator and runs the block body once.
+the decoders run once per word.  `run_trial` draws each trial of a block
+from its own generator into block arrays and runs the block body once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .phy import (
     effective_noise_variance,
     equalize,
     hard_demod,
+    path_loss,
     propagate,
     rayleigh_channel,
     superimpose,
@@ -69,7 +70,8 @@ __all__ = [
 class TrialDraw:
     """All randomness of one trial, drawn up front so that scenarios and
     decoders can be compared on matched streams.  A block of B trials holds
-    the same fields with a leading axis of length B."""
+    the same fields with a leading axis of length B, except the AWGN unit
+    gains, which keep shape (m,) and broadcast over the block."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -220,42 +222,50 @@ def receive_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioCo
     return codeword[..., : cfg.crc.message_len].copy(), ReceiverStats(queries, abandoned, sic=sic)
 
 
-def draw_trial(cfg: ScenarioConfig, rng: np.random.Generator) -> TrialDraw:
+def draw_trial(
+    cfg: ScenarioConfig, rng: np.random.Generator | Iterable[np.random.Generator]
+) -> TrialDraw:
     """Draw messages, channels, and noise in a fixed order.
+
+    `rng` is one generator, which gives one trial's draws, or a sized
+    iterable of generators, which gives a block with one trial per
+    generator, in order.  The iterable is consumed once, and each generator
+    is drawn from completely before the next is requested, so it may yield
+    one generator re-keyed for every trial.
 
     The number and order of draws depends only on the channel kind and block
     sizes, never on scenario or decoder, so matched comparisons across
-    scenarios see identical randomness.  Both messages come from one integer
-    draw and all four noise parts from one normal draw; these give the same
-    numbers as a call per user and part (DECISIONS.md, D4).
+    scenarios see identical randomness.  Each trial makes the same calls:
+    both messages from one integer draw, the Rayleigh gains of user 1 then
+    user 2, and all four noise parts from one normal draw; these give the
+    same numbers as a call per user and part (DECISIONS.md, D4).
     """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    trials = len(rngs)
+    if not trials:
+        raise ValueError("draw_trial needs at least one generator")
     k = cfg.crc.message_len
     m = cfg.crc.codeword_len  # BPSK: one bit per symbol
-    u = rng.integers(0, 2, size=2 * k).astype(np.uint8)
-    if cfg.channel == "rayleigh":
-        ch1 = rayleigh_channel(m, rng, cfg.d1, cfg.xi)
-        ch2 = rayleigh_channel(m, rng, cfg.d2, cfg.xi)
+    fading = cfg.channel == "rayleigh"
+    u = np.empty((trials, 2 * k), dtype=np.uint8)
+    gains = np.empty((2, trials, m), dtype=np.complex128) if fading else None
+    z = np.empty((trials, 2, 2, m))  # (trial, user, real/imaginary, symbol)
+    for b, r in enumerate(rngs):
+        u[b] = r.integers(0, 2, size=2 * k)
+        if fading:
+            gains[0, b] = rayleigh_channel(m, r).gains
+            gains[1, b] = rayleigh_channel(m, r).gains
+        r.standard_normal(out=z[b])
+    n = np.sqrt(cfg.sigma2 / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
+    pick = 0 if single else slice(None)
+    if fading:
+        ch1 = ChannelRealization(gains[0, pick], path_loss(cfg.d1, cfg.xi))
+        ch2 = ChannelRealization(gains[1, pick], path_loss(cfg.d2, cfg.xi))
     else:
         ch1 = awgn_channel(m, cfg.d1, cfg.xi)
         ch2 = awgn_channel(m, cfg.d2, cfg.xi)
-    z = rng.standard_normal(4 * m).reshape(2, 2, m)  # (user, real/imaginary, symbol)
-    n1, n2 = np.sqrt(cfg.sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    return TrialDraw(u[:k], u[k:], ch1, ch2, n1, n2)
-
-
-def _stack(draws: list[TrialDraw]) -> TrialDraw:
-    """The draws of one operating point as one block with a leading trial axis."""
-
-    def stacked(name: str) -> np.ndarray:
-        return np.array([getattr(d, name) for d in draws])
-
-    def channel(name: str) -> ChannelRealization:
-        gains = np.array([getattr(d, name).gains for d in draws])
-        return ChannelRealization(gains, getattr(draws[0], name).path_loss)
-
-    return TrialDraw(
-        stacked("u1"), stacked("u2"), channel("ch1"), channel("ch2"), stacked("n1"), stacked("n2")
-    )
+    return TrialDraw(u[pick, :k], u[pick, k:], ch1, ch2, n[pick, 0], n[pick, 1])
 
 
 def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> TrialOutcome:
@@ -290,20 +300,20 @@ def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> TrialOutcome:
 
 
 def run_trial(
-    cfg: ScenarioConfig, rng: np.random.Generator | Sequence[np.random.Generator]
+    cfg: ScenarioConfig, rng: np.random.Generator | Iterable[np.random.Generator]
 ) -> TrialOutcome:
     """Monte Carlo blocks: draw each trial from its own generator, then run
-    both receivers once over the stacked draws.
+    both receivers once over the block of draws.
 
-    One generator gives one trial and a TrialOutcome of scalars.  A sequence
-    of generators gives a TrialOutcome of per-trial arrays, in generator
-    order, equal to the single-generator outcomes of the same generators.
+    One generator gives one trial and a TrialOutcome of scalars.  A sized
+    iterable of generators gives a TrialOutcome of per-trial arrays, in
+    generator order, equal to the single-generator outcomes of the same
+    generators.  The iterable is consumed once, in order, and each
+    generator is drawn from completely before the next is requested
+    (`draw_trial`).
     """
     single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    if not rngs:
-        raise ValueError("run_trial needs at least one generator")
-    block = simulate_trial(cfg, _stack([draw_trial(cfg, r) for r in rngs]))
+    block = simulate_trial(cfg, draw_trial(cfg, [rng] if single else rng))
     if not single:
         return block
     return TrialOutcome(**{f.name: getattr(block, f.name)[0].item() for f in dataclasses.fields(block)})

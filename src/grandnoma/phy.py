@@ -53,7 +53,8 @@ class ChannelRealization:
     """Per-symbol complex gains plus the scalar path-loss factor for one user.
 
     `gains` has shape (m,) for one trial, or (B, m) for a block of B trials
-    at one operating point, which share the path loss."""
+    at one operating point, which share the path loss; gains of shape (m,)
+    broadcast over a block."""
 
     gains: np.ndarray
     path_loss: float

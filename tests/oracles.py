@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way and shares no
-code with the library.
+code with the library beyond its tables and constants.
 """
 
 import itertools
 
 import numpy as np
+
+from grandnoma import phy
 
 
 def long_division_remainder(message, generator_bits):
@@ -83,6 +85,13 @@ def min_weight_codeword(code, max_weight=4):
     raise RuntimeError("no codeword found within the searched weight")
 
 
+def check_words(code, words):
+    """Vectorized membership test for a (num_words, N) bit matrix."""
+    words = np.asarray(words)
+    masked = np.where(words != 0, code.position_syndrome_array[None, :], np.uint64(0))
+    return np.bitwise_xor.reduce(masked, axis=1) == 0
+
+
 def apply_channel(symbols, channel, sigma2, rng):
     """r = sqrt(L) * h * s + n with n ~ CN(0, sigma2) per symbol."""
     if sigma2 < 0:
@@ -96,7 +105,8 @@ def apply_channel(symbols, channel, sigma2, rng):
 def draw_trial_by_parts(cfg, rng):
     """One trial's draws with a separate call for each user and part: the
     messages u1 and u2, then for Rayleigh the real and the imaginary gains
-    of user 1 and of user 2 (each redrawn while a gain is below 1e-12), then
+    of user 1 and of user 2 (each redrawn while a gain is below
+    `grandnoma.phy.GAIN_FLOOR`, read at call time), then
     the real and the imaginary noise of user 1 and of user 2.
 
     Returns (u1, u2, gains1, gains2, n1, n2); the gains are None for AWGN."""
@@ -111,7 +121,7 @@ def draw_trial_by_parts(cfg, rng):
                 re = rng.standard_normal(m)
                 im = rng.standard_normal(m)
                 g = (re + 1j * im) * np.sqrt(0.5)
-                if np.abs(g).min() >= 1e-12:
+                if np.abs(g).min() >= phy.GAIN_FLOOR:
                     break
             gains[user] = g
     scale = np.sqrt(cfg.sigma2 / 2.0)

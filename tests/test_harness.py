@@ -12,6 +12,7 @@ from grandnoma import (
     read_records_csv,
     run_point,
     run_sweep,
+    run_trial,
     write_records,
 )
 from grandnoma import harness
@@ -43,6 +44,52 @@ def test_trial_rng_streams_are_distinct():
         other = derive_trial_rng(42, point, trial).standard_normal(64)
         assert not np.array_equal(base, other)
     assert not np.array_equal(base, derive_trial_rng(43, 0, 0).standard_normal(64))
+
+
+KEY_SEEDS = [0, 1, 2**31, 2**32 - 1, 5 + (3 << 32), 2**64 + 5, 2**200 + 12345]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_philox_keys_match_seed_sequence(seed):
+    """The batch key helper gives every trial the key SeedSequence gives:
+    one-word trials, trials on both sides of 2**32 and at 2**40, a two-word
+    point, two- and three-word seeds, and a seed longer than the pool."""
+    for point in (0, 1, 2**32):
+        for first, count in ((0, 300), (2**32 - 1, 2), (2**40, 1)):
+            keys = harness._philox_keys(seed, point, first, count)
+            assert keys.shape == (count, 2) and keys.dtype == np.uint64
+            for i, key in enumerate(keys):
+                ss = np.random.SeedSequence(seed, spawn_key=(point, first + i))
+                assert np.array_equal(key, ss.generate_state(2, np.uint64)), (point, first + i)
+    assert np.array_equal(harness._philox_keys(seed, 2, 9, 1)[0],
+                          derive_trial_rng(seed, 2, 9).bit_generator.state["state"]["key"])
+
+
+def test_trial_streams_equal_derived_streams():
+    """Each item of the re-keyed streams draws what `derive_trial_rng`
+    draws, although the previous trial left half a 64-bit word buffered."""
+    keys = harness._philox_keys(42, 3, 10, 5).tolist()
+    streams = harness._TrialStreams(np.random.Generator(np.random.Philox()), keys)
+    assert len(streams) == 5
+    for trial, rng in zip(range(10, 15), streams):
+        ref = derive_trial_rng(42, 3, trial)
+        assert np.array_equal(rng.integers(0, 2, 7), ref.integers(0, 2, 7))
+        assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+
+
+@pytest.mark.parametrize("block", [32, 3])
+def test_run_batch_across_the_two_word_trial_boundary(block, monkeypatch):
+    """A batch whose trials straddle 2**32 counts what run_trial counts on
+    the derived generators of the same trials."""
+    monkeypatch.setattr(harness, "TRIALS_PER_BLOCK", block)
+    cfg = ScenarioConfig(scenario="grand-assist", decoder="grand", channel="rayleigh",
+                         ebn0_db=4.0, master_seed=2**32 + 3)
+    trials = range(2**32 - 2, 2**32 + 2)
+    want = harness._Totals()
+    want.add(run_trial(cfg, [derive_trial_rng(cfg.master_seed, 2, t) for t in trials]))
+    assert want.blocks == 4 and want.bit_errors_u1 > 0 and want.queries_assist > 4
+    assert harness._run_batch(cfg, 2, trials.start, len(trials)) == want
 
 
 def test_worker_count_does_not_change_records():
@@ -213,6 +260,17 @@ def test_config_validation_names_offending_key():
         ScenarioConfig(d1=0.0)
     with pytest.raises(ConfigError, match="min_block_errors"):
         ScenarioConfig(min_block_errors=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, "7", True, None])
+def test_config_rejects_a_bad_seed(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ScenarioConfig(master_seed=seed)
+
+
+def test_config_accepts_any_non_negative_integer_seed():
+    for seed in (0, np.int64(7), 2**64 + 5):
+        assert ScenarioConfig(master_seed=seed).master_seed == seed
 
 
 @pytest.mark.parametrize("key,field,value", [

@@ -14,6 +14,7 @@ from grandnoma import (
     sic_user1,
     transmit,
 )
+from grandnoma import harness, phy
 from grandnoma.crc import get_code
 from grandnoma.link import TrialOutcome, draw_trial, simulate_trial
 from grandnoma.phy import equalize, hard_demod, propagate, rayleigh_channel
@@ -273,3 +274,39 @@ def test_draw_matches_per_part_reference(channel, message_len):
         else:
             assert np.array_equal(draw.ch1.gains, np.ones(cfg.crc.codeword_len))
         assert draw.ch1.path_loss == 1.3 ** -2.0 and draw.ch2.path_loss == 2.1 ** -2.0
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_rekeyed_block_draw_matches_single_draws(channel, monkeypatch):
+    """A block drawn from the harness's re-keyed generator equals, trial by
+    trial and field by field, the single-generator draws and the per-part
+    reference.  A raised gain floor makes some Rayleigh trials redraw."""
+    monkeypatch.setattr(phy, "GAIN_FLOOR", 0.02)
+    cfg = ScenarioConfig(channel=channel, ebn0_db=6.0, d1=1.3, d2=2.1)
+    k, m = cfg.crc.message_len, cfg.crc.codeword_len
+    seed, point, first, trials = 65, 1, 100, 40
+    keys = harness._philox_keys(seed, point, first, trials).tolist()
+    block = draw_trial(cfg, harness._TrialStreams(np.random.Generator(np.random.Philox()), keys))
+    assert block.u1.shape == (trials, k) and block.n2.shape == (trials, m)
+    redrew = 0
+    for b, trial in enumerate(range(first, first + trials)):
+        one = draw_trial(cfg, derive_trial_rng(seed, point, trial))
+        u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, derive_trial_rng(seed, point, trial))
+        for name, ref in (("u1", u1), ("u2", u2), ("n1", n1), ("n2", n2)):
+            assert np.array_equal(getattr(block, name)[b], getattr(one, name)), name
+            assert np.array_equal(getattr(one, name), ref), name
+        for name, ref in (("ch1", g1), ("ch2", g2)):
+            gains, single = getattr(block, name).gains, getattr(one, name).gains
+            if channel == "rayleigh":
+                assert np.array_equal(gains[b], single) and np.array_equal(single, ref), name
+            else:
+                assert np.array_equal(gains, single) and np.array_equal(single, np.ones(m)), name
+        if channel == "rayleigh":
+            first_try = derive_trial_rng(seed, point, trial)
+            first_try.integers(0, 2, size=2 * k)
+            z = first_try.standard_normal(2 * m)
+            redrew += not np.array_equal(block.ch1.gains[b], (z[:m] + 1j * z[m:]) * np.sqrt(0.5))
+    assert block.ch1.path_loss == one.ch1.path_loss == 1.3 ** -2.0
+    assert block.ch2.path_loss == one.ch2.path_loss == 2.1 ** -2.0
+    if channel == "rayleigh":
+        assert 0 < redrew < trials
