@@ -78,7 +78,8 @@ class CrcCode:
         n = spec.codeword_len
         mask = (1 << degree) - 1
         low = ((spec.koopman << 1) | 1) & mask  # generator with the x^degree term dropped
-        # position_syndromes[j] = remainder of x^(N-1-j); built by stepping x^i -> x^(i+1)
+        # position_syndrome_array[j] = remainder of x^(N-1-j), in the narrowest
+        # unsigned dtype that holds a syndrome; built by stepping x^i -> x^(i+1)
         table = [0] * n
         s = 1
         for j in range(n - 1, -1, -1):
@@ -86,8 +87,6 @@ class CrcCode:
             s <<= 1
             if s >> degree:
                 s = (s & mask) ^ low
-        self.position_syndromes = table
-        # the same table as an array of the narrowest unsigned dtype that holds a syndrome
         self.position_syndrome_array = np.asarray(table, dtype=np.min_scalar_type(mask))
         # parity_bits[j, t] = bit t (MSB first) of position j's syndrome, for message positions
         syndromes = self.position_syndrome_array[: spec.message_len, None]

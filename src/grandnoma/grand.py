@@ -50,7 +50,6 @@ class ReliabilityRanking:
     """Bit positions sorted by ascending |LLR|; order[r-1] is the position of rank r."""
 
     order: np.ndarray
-    magnitudes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.order)
@@ -92,9 +91,7 @@ def rank_by_reliability(llrs: np.ndarray) -> ReliabilityRanking:
     llrs = np.asarray(llrs, dtype=float)
     if np.isnan(llrs).any():
         raise ValueError("llrs contain NaN")
-    magnitudes = np.abs(llrs)
-    order = np.argsort(magnitudes, kind="stable")
-    return ReliabilityRanking(order=order, magnitudes=magnitudes[order])
+    return ReliabilityRanking(order=np.argsort(np.abs(llrs), kind="stable"))
 
 
 def _distinct_partitions(total: int, k: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -378,17 +375,22 @@ def orbgrand_decode(
     """ORBGRAND (1-line) against a CRC codebook via syndromes.
 
     Same result as `grand_decode` over `orb_pattern_stream(rank_by_reliability(llrs))`.
+    A word that passes the CRC returns at query 1, the empty guess, before
+    any ranking; its LLRs are still checked for NaN.
     """
     word = np.asarray(word, dtype=np.uint8)
+    llrs = np.asarray(llrs, dtype=float)
     n = len(word)
-    ranking = rank_by_reliability(llrs)
-    if len(ranking) != n:
-        raise ValueError(f"llrs length {len(ranking)} does not match word length {n}")
+    if len(llrs) != n:
+        raise ValueError(f"llrs length {len(llrs)} does not match word length {n}")
     _check_query_budget(query_budget)
     _check_orb_caps(max_logistic_weight, max_hamming_weight)
     target = code.syndrome(word)
     if target == 0:
+        if np.isnan(llrs).any():
+            raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
+    ranking = rank_by_reliability(llrs)
     key = (n, n if max_hamming_weight is None else min(n, max_hamming_weight))
     order = _ORB_ORDERS.get(key)
     if order is None:

@@ -42,12 +42,14 @@ from .phy import (
     awgn_channel,
     bpsk_modulate,
     compute_llrs,
+    draw_fading,
     effective_noise_variance,
     equalize,
+    fading_gains,
     hard_demod,
     path_loss,
     propagate,
-    rayleigh_channel,
+    rayleigh_channel,  # noqa: F401  (perfbench wraps it here by attribute)
     superimpose,
 )
 
@@ -139,8 +141,9 @@ def _decode(
     """Decode every word of a (..., N) block, one decoder call per word, or
     pass the words through when `enabled` is false.
 
-    Returns (codewords, queries, abandoned), the last two over the leading
-    axes.
+    The per-word calls are the benchmark's decoder seam: its tracer times
+    and re-decodes each one (DECISIONS.md, D6).  Returns (codewords,
+    queries, abandoned), the last two over the leading axes.
     """
     lead = words.shape[:-1]
     if not enabled:
@@ -235,10 +238,19 @@ def draw_trial(
 
     The number and order of draws depends only on the channel kind and block
     sizes, never on scenario or decoder, so matched comparisons across
-    scenarios see identical randomness.  Each trial makes the same calls:
-    both messages from one integer draw, the Rayleigh gains of user 1 then
-    user 2, and all four noise parts from one normal draw; these give the
-    same numbers as a call per user and part (DECISIONS.md, D4).
+    scenarios see identical randomness.  Each trial's numbers are those of
+    `integers(0, 2, 2k)` for both messages, then on Rayleigh channels
+    `rayleigh_channel` for user 1 and for user 2, then one normal draw for
+    the four noise parts.  They take two calls per trial (DECISIONS.md, D4
+    and D6):
+
+    - `random_raw(k)` for the messages on Philox, whose 32-bit draws are
+      the halves of its 64-bit words, low half first.  `integers(0, 2)`
+      takes the top bit of one half-word per value, so the raw words give
+      its bits when no half-word is buffered, as in every stream the
+      package makes; with one buffered they give other, equally uniform
+      bits.  Other bit generators call `integers(0, 2, 2k)` itself.
+    - One normal draw for the gains and the noise (`phy.draw_fading`).
     """
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else rng
@@ -248,20 +260,27 @@ def draw_trial(
     k = cfg.crc.message_len
     m = cfg.crc.codeword_len  # BPSK: one bit per symbol
     fading = cfg.channel == "rayleigh"
-    u = np.empty((trials, 2 * k), dtype=np.uint8)
-    gains = np.empty((2, trials, m), dtype=np.complex128) if fading else None
-    z = np.empty((trials, 2, 2, m))  # (trial, user, real/imaginary, symbol)
+    raw = np.empty((trials, k), dtype=np.uint64)
+    other = {}  # message bits of the trials whose bit generator is not Philox
+    z = np.empty((trials, 4 if fading else 2, 2, m))  # (trial, part, real/imaginary, symbol)
     for b, r in enumerate(rngs):
-        u[b] = r.integers(0, 2, size=2 * k)
+        if type(r.bit_generator) is np.random.Philox:
+            raw[b] = r.bit_generator.random_raw(k)
+        else:
+            other[b] = r.integers(0, 2, size=2 * k)
         if fading:
-            gains[0, b] = rayleigh_channel(m, r).gains
-            gains[1, b] = rayleigh_channel(m, r).gains
-        r.standard_normal(out=z[b])
-    n = np.sqrt(cfg.sigma2 / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
+            draw_fading(r, z[b], users=2)
+        else:
+            r.standard_normal(out=z[b])
+    # the top bits of the low and the high half of each word
+    u = ((raw[..., None] >> np.array([31, 63], dtype=np.uint64)) & 1).astype(np.uint8).reshape(trials, 2 * k)
+    for b, bits in other.items():
+        u[b] = bits
+    n = np.sqrt(cfg.sigma2 / 2.0) * (z[:, -2:, 0] + 1j * z[:, -2:, 1])
     pick = 0 if single else slice(None)
     if fading:
-        ch1 = ChannelRealization(gains[0, pick], path_loss(cfg.d1, cfg.xi))
-        ch2 = ChannelRealization(gains[1, pick], path_loss(cfg.d2, cfg.xi))
+        ch1 = ChannelRealization(fading_gains(z[pick, 0]), path_loss(cfg.d1, cfg.xi))
+        ch2 = ChannelRealization(fading_gains(z[pick, 1]), path_loss(cfg.d2, cfg.xi))
     else:
         ch1 = awgn_channel(m, cfg.d1, cfg.xi)
         ch2 = awgn_channel(m, cfg.d2, cfg.xi)

@@ -25,6 +25,8 @@ __all__ = [
     "path_loss",
     "awgn_channel",
     "rayleigh_channel",
+    "fading_gains",
+    "draw_fading",
     "bpsk_modulate",
     "superimpose",
     "propagate",
@@ -74,17 +76,40 @@ def rayleigh_channel(
     distance: float = 1.0,
     exponent: float = 2.0,
 ) -> ChannelRealization:
-    """Per-symbol i.i.d. CN(0,1) gains; redraws the vector on a degenerate gain.
+    """Per-symbol i.i.d. CN(0,1) gains; redraws the vector on a degenerate
+    gain (`draw_fading`)."""
+    z = np.empty((1, 2, num_symbols))
+    draw_fading(rng, z, users=1)
+    return ChannelRealization(gains=fading_gains(z[0]), path_loss=path_loss(distance, exponent))
 
-    One normal draw holds the real parts, then the imaginary parts: the
-    same numbers as a draw for each, since normals keep no state between
-    calls."""
-    while True:
-        z = rng.standard_normal(2 * num_symbols)
-        gains = (z[:num_symbols] + 1j * z[num_symbols:]) * np.sqrt(0.5)
-        if np.abs(gains).min() >= GAIN_FLOOR:
-            break
-    return ChannelRealization(gains=gains, path_loss=path_loss(distance, exponent))
+
+def fading_gains(z: np.ndarray) -> np.ndarray:
+    """CN(0,1) gains from normals of shape (..., 2, m): real parts, then
+    imaginary parts."""
+    return (z[..., 0, :] + 1j * z[..., 1, :]) * np.sqrt(0.5)
+
+
+def draw_fading(rng: np.random.Generator, z: np.ndarray, users: int) -> None:
+    """Fill `z`, of shape (parts, 2, m), with normals: the fading gains of
+    `users` users (`fading_gains(z[:users])`), then the other parts.
+
+    The parts are drawn in order, 2m normals each.  A user's gains are
+    redrawn from the next 2m normals while one of them is below
+    `GAIN_FLOOR`, read at call time, and every later part moves up by as
+    many.  Without a redraw one normal draw fills `z`: normals keep no state
+    between calls, so it gives the numbers of a call per part
+    (DECISIONS.md, D6).
+    """
+    rng.standard_normal(out=z)
+    if np.abs(fading_gains(z[:users])).min() >= GAIN_FLOOR:
+        return
+    user = 0
+    while user < users:
+        if np.abs(fading_gains(z[user])).min() >= GAIN_FLOOR:
+            user += 1
+        else:  # drop the user's gains: later parts move up, the next 2m normals fill the last
+            z[user:-1] = z[user + 1:]
+            rng.standard_normal(out=z[-1])
 
 
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:

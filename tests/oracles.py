@@ -48,7 +48,7 @@ def min_distance_decode(word, codebook):
 def min_weight_codeword(code, max_weight=4):
     """Smallest-weight nonzero codeword, found by meet-in-the-middle on syndromes."""
     n = code.spec.codeword_len
-    table = code.position_syndromes
+    table = code.position_syndrome_array.tolist()
     for i in range(n):
         if table[i] == 0:
             word = np.zeros(n, dtype=np.uint8)

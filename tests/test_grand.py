@@ -47,11 +47,12 @@ def test_hard_stream_weights_nondecreasing():
 
 
 def test_rank_by_reliability():
-    r = rank_by_reliability(np.array([3.0, -1.0, 2.0]))
+    llrs = np.array([3.0, -1.0, 2.0])
+    r = rank_by_reliability(llrs)
     assert list(r.order) == [1, 2, 0]
     assert list(rank_by_reliability(np.array([1.0, -1.0])).order) == [0, 1]
     assert list(rank_by_reliability(np.zeros(5)).order) == [0, 1, 2, 3, 4]
-    assert np.all(np.diff(r.magnitudes) >= 0)
+    assert np.all(np.diff(np.abs(llrs)[r.order]) >= 0)
 
 
 def test_rank_rejects_nan():
@@ -187,6 +188,23 @@ def test_syndrome_orb_decoder_matches_generic():
         assert fast.abandoned == slow.abandoned
         assert fast.error_pattern == slow.error_pattern
         assert np.array_equal(fast.codeword, slow.codeword)
+
+
+def test_orb_decoder_checks_the_llrs_of_a_codeword():
+    """A word that passes the CRC returns at query 1 without ranking, yet its
+    LLRs are still checked as a search would check them."""
+    code = get_code(CRC12)
+    rng = np.random.default_rng(6)
+    word = crc_encode(rng.integers(0, 2, 116).astype(np.uint8), CRC12)
+    llrs = rng.normal(size=128)
+    result = orbgrand_decode(word, llrs, code)
+    assert (result.queries, result.abandoned, result.error_pattern) == (1, False, ())
+    assert np.array_equal(result.codeword, word) and result.codeword is not word
+    llrs[7] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        orbgrand_decode(word, llrs, code)
+    with pytest.raises(ValueError, match="length"):
+        orbgrand_decode(word, np.ones(127), code)
 
 
 def test_decode_result_invariants():

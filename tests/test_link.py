@@ -10,14 +10,28 @@ from grandnoma import (
     bpsk_modulate,
     crc_encode,
     derive_trial_rng,
+    grand_decode,
+    hard_grand_decode,
+    hard_pattern_stream,
+    orb_pattern_stream,
+    orbgrand_decode,
+    rank_by_reliability,
     run_trial,
     sic_user1,
     transmit,
 )
-from grandnoma import harness, phy
+from grandnoma import harness, link, phy
 from grandnoma.crc import get_code
-from grandnoma.link import TrialOutcome, draw_trial, simulate_trial
-from grandnoma.phy import equalize, hard_demod, propagate, rayleigh_channel
+from grandnoma.link import TrialOutcome, _decode, draw_trial, simulate_trial
+from grandnoma.phy import (
+    awgn_channel,
+    compute_llrs,
+    effective_noise_variance,
+    equalize,
+    hard_demod,
+    propagate,
+    rayleigh_channel,
+)
 
 from oracles import draw_trial_by_parts, min_weight_codeword
 
@@ -258,7 +272,7 @@ def test_run_trial_rejects_an_empty_block():
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
-@pytest.mark.parametrize("message_len", [116, 51])
+@pytest.mark.parametrize("message_len", [116, 51, 1, 300])
 def test_draw_matches_per_part_reference(channel, message_len):
     """The merged draws give exactly the numbers of one call per user and
     part, for even and odd message lengths."""
@@ -274,6 +288,32 @@ def test_draw_matches_per_part_reference(channel, message_len):
         else:
             assert np.array_equal(draw.ch1.gains, np.ones(cfg.crc.codeword_len))
         assert draw.ch1.path_loss == 1.3 ** -2.0 and draw.ch2.path_loss == 2.1 ** -2.0
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_other_bit_generators_draw_messages_with_integers(channel):
+    """MT19937's 32-bit draws are not halves of 64-bit words, so its trials
+    take their messages from `integers` itself, also in a block mixed with
+    Philox trials, and `run_trial` on one MT19937 generator gives the trial
+    of the per-part reference draws."""
+    cfg = ScenarioConfig(scenario="grand", channel=channel, ebn0_db=4.0, d1=1.3, d2=2.1)
+    kinds = [np.random.MT19937, np.random.Philox]
+    make = lambda i: np.random.Generator(kinds[i % 2](i))  # noqa: E731
+    block = draw_trial(cfg, [make(i) for i in range(6)])
+    for b in range(6):
+        u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, make(b))
+        assert np.array_equal(block.u1[b], u1) and np.array_equal(block.u2[b], u2)
+        assert np.array_equal(block.n1[b], n1) and np.array_equal(block.n2[b], n2)
+        if channel == "rayleigh":
+            assert np.array_equal(block.ch1.gains[b], g1) and np.array_equal(block.ch2.gains[b], g2)
+    assert block.u1[::2, 1::2].any()  # the bits a 32-bit raw word would leave at 0
+    u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, make(4))
+    m = cfg.crc.codeword_len
+    gains = [np.ones(m, dtype=complex) if g is None else g for g in (g1, g2)]
+    ch1, ch2 = (phy.ChannelRealization(g, phy.path_loss(d, cfg.xi)) for g, d in zip(gains, (cfg.d1, cfg.d2)))
+    want = simulate_trial(cfg, link.TrialDraw(u1, u2, ch1, ch2, n1, n2))
+    got = run_trial(cfg, make(4))
+    assert dataclasses.asdict(got) == {f: getattr(want, f).item() for f in dataclasses.asdict(got)}
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
@@ -310,3 +350,114 @@ def test_rekeyed_block_draw_matches_single_draws(channel, monkeypatch):
     assert block.ch2.path_loss == one.ch2.path_loss == 2.1 ** -2.0
     if channel == "rayleigh":
         assert 0 < redrew < trials
+
+
+@pytest.mark.parametrize("message_len", [1, 51, 116, 300])
+def test_rekeyed_raw_word_messages_match_integer_draws(message_len):
+    """On re-keyed Philox streams, the message bits taken from raw words
+    equal `integers(0, 2, 2k)`, and every normal drawn after them is
+    unchanged, for odd and even k; the generator starts with a half-word
+    buffered, which re-keying clears."""
+    crc = CrcSpec(koopman=0x8F3, message_len=message_len, codeword_len=message_len + 12)
+    cfg = ScenarioConfig(channel="rayleigh", ebn0_db=6.0, crc=crc)
+    seed, point, first, trials = 67, 3, 2**32 - 3, 6
+    keys = harness._philox_keys(seed, point, first, trials).tolist()
+    rng = np.random.Generator(np.random.Philox())
+    rng.integers(0, 2, size=3)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    block = draw_trial(cfg, harness._TrialStreams(rng, keys))
+    for b in range(trials):
+        u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, derive_trial_rng(seed, point, first + b))
+        assert np.array_equal(block.u1[b], u1) and np.array_equal(block.u2[b], u2)
+        assert np.array_equal(block.ch1.gains[b], g1) and np.array_equal(block.ch2.gains[b], g2)
+        assert np.array_equal(block.n1[b], n1) and np.array_equal(block.n2[b], n2)
+
+
+TOY3 = CrcSpec(0x5, 4, 7)
+CRC8 = CrcSpec(koopman=0xA6, message_len=57, codeword_len=65)
+DECODE_CASES = [
+    (TOY3, dict(decoder="grand")),
+    (CRC8, dict(decoder="grand")),
+    (ScenarioConfig().crc, dict(decoder="grand")),
+    (ScenarioConfig().crc, dict(decoder="grand", grand_max_weight=0)),
+    (TOY3, dict(decoder="orbgrand")),
+    (CRC8, dict(decoder="orbgrand", orb_query_budget=40)),
+    (ScenarioConfig().crc, dict(decoder="orbgrand")),
+    (ScenarioConfig().crc, dict(decoder="orbgrand", orb_query_budget=1)),
+    (ScenarioConfig().crc, dict(decoder="orbgrand", orb_max_logistic_weight=0)),
+]
+
+
+def _mixed_block(spec, shape, seed):
+    """Received samples whose hard decisions are codewords with 0, 1 or 2
+    flipped bits (cycling, so the block mixes codewords and non-codewords);
+    flipped bits get the smallest magnitudes."""
+    rng = np.random.default_rng(seed)
+    n = spec.codeword_len
+    c = crc_encode(rng.integers(0, 2, (*shape, spec.message_len), dtype=np.uint8), spec)
+    y = (1.0 - 2.0 * c) * (1.0 + rng.random(c.shape))
+    for i, row in enumerate(y.reshape(-1, n)):
+        flips = rng.choice(n, size=i % 3, replace=False)
+        row[flips] *= -0.1 * rng.random(len(flips))
+    return y
+
+
+@pytest.mark.parametrize("spec,kwargs", DECODE_CASES)
+def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkeypatch):
+    """The block decode calls the decoder once per word, codewords included
+    (the benchmark's tracer times and re-decodes those calls), and gives
+    every word the codeword, query count and abandon flag of its own decoder
+    call and of `grand_decode` over the pattern streams."""
+    cfg = ScenarioConfig(scenario="grand", channel="awgn", ebn0_db=4.0, crc=spec, **kwargs)
+    code = get_code(spec)
+    n = spec.codeword_len
+    y = _mixed_block(spec, (3, 11), seed=n)
+    channel = awgn_channel(n)
+    words = hard_demod(y)
+    decoder = "orbgrand_decode" if cfg.decoder == "orbgrand" else "hard_grand_decode"
+    calls = []
+    original = getattr(link, decoder)
+
+    def counted(word, *args, **kwargs):
+        calls.append(word)
+        return original(word, *args, **kwargs)
+
+    monkeypatch.setattr(link, decoder, counted)
+    codewords, queries, abandoned = _decode(words, y, channel, cfg, amplitude=0.7,
+                                            interferer_power=0.2, enabled=True)
+    assert np.array_equal(calls, words.reshape(-1, n))
+    assert codewords.shape == words.shape and queries.shape == abandoned.shape == (3, 11)
+    llrs = compute_llrs(y, 0.7, effective_noise_variance(cfg.sigma2, channel, 0.2)).reshape(-1, n)
+    passed = 0
+    for word, llr, got, q, a in zip(words.reshape(-1, n), llrs, codewords.reshape(-1, n),
+                                    queries.ravel(), abandoned.ravel()):
+        passed += code.check(word)
+        if cfg.decoder == "orbgrand":
+            one = orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
+                                  query_budget=cfg.orb_query_budget)
+            patterns = orb_pattern_stream(rank_by_reliability(llr), cfg.orb_max_logistic_weight)
+            ref = grand_decode(word, code.check, patterns, cfg.orb_query_budget)
+        else:
+            one = hard_grand_decode(word, code, max_weight=cfg.grand_max_weight)
+            ref = grand_decode(word, code.check, hard_pattern_stream(n, cfg.grand_max_weight))
+        for want in (one, ref):
+            assert np.array_equal(got, want.codeword)
+            assert (q, a) == (want.queries, want.abandoned)
+    assert 0 < passed < words.size // n
+    # a cap or budget that allows only query 1 abandons every search; else none abandons
+    no_search = 0 in (cfg.grand_max_weight, cfg.orb_max_logistic_weight) or cfg.orb_query_budget == 1
+    failed = np.reshape([not code.check(w) for w in words.reshape(-1, n)], abandoned.shape)
+    assert np.array_equal(abandoned, no_search & failed)
+
+
+def test_block_decode_rejects_nan_llrs_of_a_codeword():
+    """A NaN LLR raises even where the word passes the CRC and no search runs."""
+    cfg = ScenarioConfig(scenario="grand", decoder="orbgrand", channel="awgn")
+    code = get_code(cfg.crc)
+    y = _mixed_block(cfg.crc, (4,), seed=5)
+    words = hard_demod(y)
+    assert code.check(words[0])
+    y[0, 7] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _decode(words, y, awgn_channel(cfg.crc.codeword_len), cfg, amplitude=1.0,
+                interferer_power=0.0, enabled=True)

@@ -15,6 +15,7 @@ from grandnoma import (
     rayleigh_channel,
     superimpose,
 )
+from grandnoma import phy
 from grandnoma.phy import ChannelRealization
 
 from oracles import apply_channel
@@ -213,3 +214,29 @@ def test_gaussian_approximation_tracks_far_user_raw_ber():
 
     predicted = float(q_function(a2 / np.sqrt(0.25 + sigma2 / 2)))
     assert predicted / 1.5 <= simulated <= predicted * 1.5
+
+
+@pytest.mark.parametrize("users, parts", [(1, 1), (2, 4)])
+def test_fading_redraws_like_one_call_per_part(users, parts, monkeypatch):
+    """With a floor that most gain vectors miss, `draw_fading` fills its
+    parts with the numbers of a redraw loop per user and then one call per
+    remaining part, and leaves the stream where that sequence leaves it."""
+    monkeypatch.setattr(phy, "GAIN_FLOOR", 0.3)
+    m = 16
+    redraws = 0
+    for seed in range(40):
+        rng, ref = np.random.Generator(np.random.Philox(seed)), np.random.Generator(np.random.Philox(seed))
+        z = np.empty((parts, 2, m))
+        phy.draw_fading(rng, z, users)
+        for p in range(parts):
+            while True:
+                part = ref.standard_normal((2, m))
+                gains = (part[0] + 1j * part[1]) * np.sqrt(0.5)
+                if p >= users or np.abs(gains).min() >= 0.3:
+                    break
+                redraws += 1
+            assert np.array_equal(z[p], part)
+            if p < users:
+                assert np.array_equal(phy.fading_gains(z[p]), gains)
+        assert rng.standard_normal() == ref.standard_normal()
+    assert redraws > 40

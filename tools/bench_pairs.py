@@ -1,0 +1,140 @@
+"""Alternating paired benchmark runs: a parent commit against this checkout.
+
+    python3 tools/bench_pairs.py --workload assist-rayleigh-distance --parent HEAD~1 \\
+        [--pairs 10] [--seed 1] [--seconds 30] [--out pairs.json]
+
+The parent commit is exported with `git archive` into a temporary directory.
+Each pair runs `perfbench/run.py --trace 0` once there and once in this
+checkout, and the side that goes first alternates from pair to pair.  For
+every end-to-end metric that `BENCHMARK.json` declares, the summary gives
+each side's median and quartiles and the change's wins, losses and ties
+(a tie counts for neither side).  It also says whether the gain rule holds:
+the change wins at least nine tenths of the pairs, and its median beats the
+parent's by more than the parent's interquartile range.
+
+`--parent` is required: `HEAD` compares uncommitted changes with the last
+commit, and once the change is committed its parent is `HEAD~1`.  The run
+stops before the first pair if the parent's `src/grandnoma` is the same as
+the checkout's, since the pairs would then compare the program with itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles, win counts and the gain rule for one metric.
+
+    `parent[i]` and `change[i]` are the two runs of pair i; `better` is
+    "higher" or "lower".  Quartiles are numpy's linear percentiles.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError(f"need equal, nonzero run counts, got {len(parent)} and {len(change)}")
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    sign = 1.0 if better == "higher" else -1.0
+    p_q1, p_med, p_q3 = np.percentile(parent, [25, 50, 75]).tolist()
+    c_q1, c_med, c_q3 = np.percentile(change, [25, 50, 75]).tolist()
+    margins = [sign * (c - p) for p, c in zip(parent, change)]
+    wins = sum(d > 0 for d in margins)
+    losses = sum(d < 0 for d in margins)
+    return {
+        "better": better,
+        "pairs": len(parent),
+        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+        "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+        "wins": wins,
+        "losses": losses,
+        "ties": len(parent) - wins - losses,
+        "ratio": c_med / p_med if p_med else None,
+        "gain": wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1,
+    }
+
+
+def same_program(a: Path, b: Path) -> bool:
+    """Whether the trees at `a` and `b` hold the same `src/grandnoma` files,
+    byte for byte (compiled caches aside)."""
+    def files(root: Path) -> dict[str, bytes]:
+        pkg = root / "src" / "grandnoma"
+        return {str(f.relative_to(pkg)): f.read_bytes() for f in sorted(pkg.rglob("*"))
+                if f.is_file() and "__pycache__" not in f.parts}
+    return files(a) == files(b)
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of commit `rev` of this repository into `dest`."""
+    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in the tree at `root`: its final JSON line."""
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", required=True, help="commit to compare with, e.g. HEAD~1")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        export(args.parent, Path(tmp))
+        if same_program(Path(tmp), ROOT):
+            parser.error(f"src/grandnoma at {args.parent} is the same as in this checkout; pass the change's parent")
+        roots = {"parent": Path(tmp), "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(roots[side], args.workload, args.seed, args.seconds)
+                runs[side].append(result)
+                values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared)
+                print(f"pair {pair + 1} {side:6s} correct={result['correct']} {values}", flush=True)
+
+    summary = {}
+    for m in declared:
+        name = m["name"]
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change"))
+        summary[name] = s = summarize(parent, change, m["better"])
+        p, c = s["parent"], s["change"]
+        print(f"{args.workload} {name} [{m['unit']}, {m['better']} is better]: "
+              f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], ratio {s['ratio']:.3f}, "
+              f"wins {s['wins']}/{s['pairs']} (losses {s['losses']}, ties {s['ties']}), gain rule "
+              f"{'met' if s['gain'] else 'not met'}")
+    failed = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
+    print(f"{args.workload} runs not correct: parent {failed['parent']}, change {failed['change']}")
+    if args.out:
+        args.out.write_text(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                                        "parent": args.parent, "summary": summary, "runs": runs}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
