@@ -28,29 +28,30 @@ from .theory import (
     rayleigh_gain_sampler,
 )
 
-# config-file key -> argparse dest
-CONFIG_KEYS = {
-    "scenario": "scenario",
-    "decoder": "decoder",
-    "channel": "channel",
-    "alpha1": "alpha1",
-    "P": "power",
-    "d1": "d1",
-    "d2": "d2",
-    "xi": "xi",
-    "ebn0_db_list": "ebn0",
-    "crc.koopman_hex": "crc_koopman",
-    "crc.k": "crc_k",
-    "crc.n": "crc_n",
-    "grand.max_weight": "grand_max_weight",
-    "orb.query_budget": "orb_query_budget",
-    "orb.max_logistic_weight": "orb_max_lw",
-    "min_block_errors": "min_block_errors",
-    "max_blocks": "max_blocks",
-    "seed": "seed",
-    "workers": "workers",
-    "trials_per_batch": "trials_per_batch",
-}
+# (config-file key, argparse dest, ScenarioConfig field); the crc.* keys
+# build the CrcSpec and ebn0_db_list the Eb/N0 list, so they name no field
+CONFIG_KEYS = [
+    ("scenario", "scenario", "scenario"),
+    ("decoder", "decoder", "decoder"),
+    ("channel", "channel", "channel"),
+    ("alpha1", "alpha1", "alpha1"),
+    ("P", "power", "power"),
+    ("d1", "d1", "d1"),
+    ("d2", "d2", "d2"),
+    ("xi", "xi", "xi"),
+    ("ebn0_db_list", "ebn0", None),
+    ("crc.koopman_hex", "crc_koopman", None),
+    ("crc.k", "crc_k", None),
+    ("crc.n", "crc_n", None),
+    ("grand.max_weight", "grand_max_weight", "grand_max_weight"),
+    ("orb.query_budget", "orb_query_budget", "orb_query_budget"),
+    ("orb.max_logistic_weight", "orb_max_lw", "orb_max_logistic_weight"),
+    ("min_block_errors", "min_block_errors", "min_block_errors"),
+    ("max_blocks", "max_blocks", "max_blocks"),
+    ("seed", "seed", "master_seed"),
+    ("workers", "workers", "workers"),
+    ("trials_per_batch", "trials_per_batch", "trials_per_batch"),
+]
 
 
 def _float_list(text: str) -> list[float]:
@@ -123,22 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's values keyed by argparse dest."""
     with open(path) as fh:
         data = json.load(fh)
-    unknown = set(data) - set(CONFIG_KEYS)
+    dests = {key: dest for key, dest, _ in CONFIG_KEYS}
+    unknown = set(data) - set(dests)
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
-    return data
+    return {dests[key]: value for key, value in data.items()}
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]]:
     """Merge defaults < config file < flags into a ScenarioConfig plus the
     Eb/N0 list."""
-    merged: dict = {}
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            merged[CONFIG_KEYS[key]] = value
-    for dest in set(CONFIG_KEYS.values()):
+    merged = _load_config_file(args.config) if args.config else {}
+    for _, dest, _ in CONFIG_KEYS:
         flag_value = getattr(args, dest, None)
         if flag_value is not None:
             merged[dest] = flag_value
@@ -153,28 +153,14 @@ def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]
             codeword_len=int(merged.get("crc_n", DEFAULT_CRC.codeword_len)),
         )
 
-    ebn0_list = merged.get("ebn0")
-    if ebn0_list is not None:
-        if not isinstance(ebn0_list, list):
-            ebn0_list = [ebn0_list]
-        ebn0_list = [float(v) for v in ebn0_list]
+    ebn0 = merged.get("ebn0", [])
+    ebn0_list = [float(v) for v in (ebn0 if isinstance(ebn0, list) else [ebn0])]
 
-    kwargs = {}
-    for dest, field in [
-        ("scenario", "scenario"), ("decoder", "decoder"), ("channel", "channel"),
-        ("alpha1", "alpha1"), ("power", "power"), ("d1", "d1"), ("d2", "d2"),
-        ("xi", "xi"), ("grand_max_weight", "grand_max_weight"),
-        ("orb_query_budget", "orb_query_budget"), ("orb_max_lw", "orb_max_logistic_weight"),
-        ("min_block_errors", "min_block_errors"), ("max_blocks", "max_blocks"),
-        ("seed", "master_seed"), ("workers", "workers"),
-        ("trials_per_batch", "trials_per_batch"),
-    ]:
-        if dest in merged:
-            kwargs[field] = merged[dest]
+    kwargs = {field: merged[dest] for _, dest, field in CONFIG_KEYS if field and dest in merged}
     cfg = ScenarioConfig(crc=crc, **kwargs)
-    if ebn0_list is not None:
-        cfg = cfg.at(ebn0_db=float(ebn0_list[0]))
-    return cfg, ebn0_list or []
+    if ebn0_list:
+        cfg = cfg.at(ebn0_db=ebn0_list[0])
+    return cfg, ebn0_list
 
 
 class _Flusher:
@@ -282,64 +268,46 @@ def _run_selfcheck(args: argparse.Namespace) -> int:
     from .grand import hard_grand_decode
     from .theory import q_function
 
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        print(f"[selfcheck] {name}: {status}{' - ' + detail if detail else ''}")
-        failures += not ok
-
-    # generator expansion of the default code
-    coeffs = koopman_to_normal(DEFAULT_CRC)
-    ok = list(coeffs) == [1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1]
-    report("crc generator expansion", ok)
+    checks = []  # (name, passed, detail)
+    coeffs = list(koopman_to_normal(DEFAULT_CRC))
+    checks.append(("crc generator expansion", coeffs == [1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1], ""))
 
     # hard guess-and-check realizes minimum-distance decoding on a toy code
     toy = CrcSpec(0x5, 4, 7)
-    code = get_code(toy)
-    codebook = [crc_encode(np.array(m, dtype=np.uint8), toy)
-                for m in itertools.product((0, 1), repeat=4)]
-    ok = True
-    for word_bits in itertools.product((0, 1), repeat=7):
-        word = np.array(word_bits, dtype=np.uint8)
-        best = min(int(np.count_nonzero(word != c)) for c in codebook)
-        result = hard_grand_decode(word, code, max_weight=7)
-        if result.abandoned or int(np.count_nonzero(word != result.codeword)) != best:
-            ok = False
-            break
-    report("toy-code maximum-likelihood equivalence", ok)
+    messages = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+    codebook = np.array([crc_encode(m, toy) for m in messages])
+    words = np.array(list(itertools.product((0, 1), repeat=7)), dtype=np.uint8)
+    nearest = (words[:, None, :] != codebook).sum(axis=-1).min(axis=1)
+    results = [hard_grand_decode(w, get_code(toy), max_weight=7) for w in words]
+    checks.append(("toy-code maximum-likelihood equivalence", all(
+        not r.abandoned and np.count_nonzero(w != r.codeword) == d
+        for w, r, d in zip(words, results, nearest)), ""))
 
     # single-user BPSK calibration against the Gaussian tail at 4 dB
     rng = np.random.default_rng(7)
     n_bits = 200_000
     ebn0 = 10.0 ** 0.4
-    sigma = np.sqrt(1.0 / (2.0 * ebn0))
     bits = rng.integers(0, 2, n_bits)
-    rx = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(n_bits)
+    rx = (1.0 - 2.0 * bits) + np.sqrt(1.0 / (2.0 * ebn0)) * rng.standard_normal(n_bits)
     ber = np.mean((rx < 0) != bits)
     expect = float(q_function(np.sqrt(2.0 * ebn0)))
     tol = 4.0 * np.sqrt(expect * (1.0 - expect) / n_bits)
-    report("bpsk awgn calibration", abs(ber - expect) <= tol, f"ber={ber:.3e} expect={expect:.3e}")
+    checks.append(("bpsk awgn calibration", abs(ber - expect) <= tol, f"ber={ber:.3e} expect={expect:.3e}"))
 
     # reproducibility across worker counts on a tiny point
     cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=8.0,
                          min_block_errors=5, max_blocks=200, master_seed=11)
-    rec_a = run_point(cfg, 0)
-    rec_b = run_point(cfg.at(workers=2), 0)
-    same = all(
-        getattr(a, f) == getattr(b, f)
-        for a, b in zip(rec_a, rec_b)
-        for f in CSV_FIELDS if f != "wall_time_s"
-    )
-    report("worker-count reproducibility", same)
+    one, two = (run_point(cfg.at(workers=w), 0) for w in (1, 2))
+    same = all(getattr(a, f) == getattr(b, f)
+               for a, b in zip(one, two) for f in CSV_FIELDS if f != "wall_time_s")
+    checks.append(("worker-count reproducibility", same, ""))
 
-    # round trip encode -> check
-    rng = np.random.default_rng(3)
-    msg = rng.integers(0, 2, DEFAULT_CRC.message_len).astype(np.uint8)
-    report("encode/check round trip", crc_check(crc_encode(msg, DEFAULT_CRC), DEFAULT_CRC))
+    msg = np.random.default_rng(3).integers(0, 2, DEFAULT_CRC.message_len).astype(np.uint8)
+    checks.append(("encode/check round trip", crc_check(crc_encode(msg, DEFAULT_CRC), DEFAULT_CRC), ""))
 
-    return 1 if failures else 0
+    for name, ok, detail in checks:
+        print(f"[selfcheck] {name}: {'PASS' if ok else 'FAIL'}{' - ' + detail if detail else ''}")
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -284,34 +285,57 @@ def run_point(cfg: ScenarioConfig, point_index: int = 0) -> tuple[SweepRecord, S
 
     Returns one record per user.  Results do not depend on the worker count.
     """
-    started = time.perf_counter()
-    totals = _Totals()
+    with _pool(cfg) as pool:
+        return _run_point(cfg, point_index, pool)
+
+
+@contextmanager
+def _pool(cfg: ScenarioConfig):
+    """A process pool for `cfg`'s workers (None for one) that lives as long
+    as the `with` body; if the body raises, queued batches are cancelled."""
     workers = resolve_workers(cfg)
     if workers == 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | None):
+    """`run_point` on `pool`, or in this process if it is None.  Batches
+    still running when the point stops finish unread."""
+    started = time.perf_counter()
+    totals = _Totals()
+    if pool is None:
         for start, count in _batch_plan(cfg):
             totals.merge(_run_batch(cfg, point_index, start, count))
             if _stop(cfg, totals):
                 break
     else:
+        depth = 2 * resolve_workers(cfg)
         plan = _batch_plan(cfg)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = []
-            exhausted = False
-            stopped = False
-            while not stopped:
-                while not exhausted and len(pending) < 2 * workers:
-                    nxt = next(plan, None)
-                    if nxt is None:
-                        exhausted = True
-                        break
-                    pending.append(pool.submit(_run_batch, cfg, point_index, *nxt))
-                if not pending:
+        pending = []
+        exhausted = False
+        stopped = False
+        while not stopped:
+            while not exhausted and len(pending) < depth:
+                nxt = next(plan, None)
+                if nxt is None:
+                    exhausted = True
                     break
-                # merge strictly in submission (= trial index) order
-                totals.merge(pending.pop(0).result())
-                stopped = _stop(cfg, totals)
-            for fut in pending:
-                fut.cancel()
+                pending.append(pool.submit(_run_batch, cfg, point_index, *nxt))
+            if not pending:
+                break
+            # merge strictly in submission (= trial index) order
+            totals.merge(pending.pop(0).result())
+            stopped = _stop(cfg, totals)
+        for fut in pending:
+            fut.cancel()
     elapsed = time.perf_counter() - started
     return (
         _record(cfg, 1, totals, elapsed),
@@ -364,7 +388,9 @@ def run_sweep(
     values; every point runs with its own derived random streams.
 
     `on_point` is called with the two new records after each point, which is
-    how the CLI flushes partial results.
+    how the CLI flushes partial results.  With more than one worker, every
+    point runs on one process pool, so workers keep their guess-order caches
+    from point to point (DECISIONS.md, D9).
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -375,12 +401,18 @@ def run_sweep(
         raise ConfigError(f"{axis}: sweep values must be strictly increasing, got {values}")
     field = {"ebn0": "ebn0_db", "alpha1": "alpha1", "d1": "d1"}[axis]
     records: list[SweepRecord] = []
-    for point_index, value in enumerate(values):
-        point_cfg = cfg.at(**{field: value})
-        pair = run_point(point_cfg, point_index)
-        records.extend(pair)
-        if on_point is not None:
-            on_point(list(pair))
+    with _pool(cfg) as pool:
+        for point_index, value in enumerate(values):
+            point_cfg = cfg.at(**{field: value})
+            # one worker goes through `run_point`, the per-point span that
+            # perfbench's tracer wraps
+            if pool is None:
+                pair = run_point(point_cfg, point_index)
+            else:
+                pair = _run_point(point_cfg, point_index, pool)
+            records.extend(pair)
+            if on_point is not None:
+                on_point(list(pair))
     return records
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from grandnoma import (
     write_records,
 )
 from grandnoma import harness
+from grandnoma.cli import main as cli_main
 from grandnoma.harness import CSV_FIELDS, WORKERS_ENV_VAR
 
 EXPECTED_HEADER = (
@@ -193,6 +195,83 @@ def test_run_sweep_axes_and_validation():
         run_sweep(cfg, "ebn0", [4.0, 2.0])
     with pytest.raises(ConfigError):
         run_sweep(cfg, "nope", [1.0])
+
+
+# points 0 and 1 stop on min_block_errors after their first batch, with the
+# next batches in flight; point 2 runs all 20 batches to max_blocks
+POOL_SWEEP = ScenarioConfig(scenario="grand", decoder="grand", min_block_errors=6,
+                            max_blocks=320, trials_per_batch=16, master_seed=5)
+POOL_SWEEP_EBN0 = [10.0, 12.0, 16.0]
+
+
+def _count_pools(monkeypatch) -> list:
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+def test_pooled_sweep_equals_serial_sweep_on_one_pool(monkeypatch):
+    serial = run_sweep(POOL_SWEEP, "ebn0", POOL_SWEEP_EBN0)
+    opened = _count_pools(monkeypatch)
+    seen = []
+    pooled = run_sweep(POOL_SWEEP.at(workers=2), "ebn0", POOL_SWEEP_EBN0, on_point=seen.append)
+    assert len(opened) == 1
+    assert [r.blocks for r in serial[::2]] == [16, 16, 320]
+    assert serial[0].block_errors >= 6 and serial[1].block_errors >= 6
+    assert len(pooled) == len(serial) and all(map(records_equal, serial, pooled))
+    assert seen == [pooled[0:2], pooled[2:4], pooled[4:6]]
+    assert [pair[0].ebn0_db for pair in seen] == POOL_SWEEP_EBN0
+
+    point = run_point(POOL_SWEEP.at(workers=2, ebn0_db=16.0), 2)
+    assert len(opened) == 2 and all(map(records_equal, serial[4:], point))
+    assert multiprocessing.active_children() == []
+
+
+_REAL_RUN_BATCH = harness._run_batch
+
+
+def _failing_batch(cfg, point_index, start, count):
+    """A batch that fails on the second point; forked workers inherit it."""
+    if point_index == 1:
+        raise RuntimeError("batch failed")
+    return _REAL_RUN_BATCH(cfg, point_index, start, count)
+
+
+def test_a_failing_batch_reaches_the_caller_and_leaves_no_workers(monkeypatch):
+    monkeypatch.setattr(harness, "_run_batch", _failing_batch)
+    seen = []
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_sweep(POOL_SWEEP.at(workers=2), "ebn0", POOL_SWEEP_EBN0, on_point=seen.append)
+    assert len(seen) == 1
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_point(POOL_SWEEP.at(workers=2), 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_on_point_reaches_the_caller_and_leaves_no_workers(monkeypatch):
+    opened = _count_pools(monkeypatch)
+    seen = []
+
+    def on_point(pair):
+        seen.append(pair)
+        raise KeyError("on_point failed")
+
+    with pytest.raises(KeyError, match="on_point failed"):
+        run_sweep(POOL_SWEEP.at(workers=2), "ebn0", POOL_SWEEP_EBN0, on_point=on_point)
+    assert len(seen) == 1 and len(opened) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_snr_with_an_empty_ebn0_list_is_a_config_error(capsys):
+    assert cli_main(["sweep-snr", "--ebn0", "", "--quiet"]) == 1
+    assert "requires --ebn0" in capsys.readouterr().err
 
 
 def test_csv_header_and_roundtrip(tmp_path):
