@@ -43,6 +43,17 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
+# (field, config key, lowest value) of every numeric field; None marks a real field
+_NUMBERS = [
+    ("ebn0_db", "ebn0_db", None), ("alpha1", "alpha1", None), ("power", "P", None),
+    ("d1", "d1", None), ("d2", "d2", None), ("xi", "xi", None),
+    ("grand_max_weight", "grand.max_weight", 0), ("orb_max_logistic_weight", "orb.max_logistic_weight", 0),
+    ("orb_query_budget", "orb.query_budget", 1), ("min_block_errors", "min_block_errors", 1),
+    ("max_blocks", "max_blocks", 1), ("master_seed", "seed", 0), ("workers", "workers", 1),
+    ("trials_per_batch", "trials_per_batch", 1),
+]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulated operating point.
@@ -77,6 +88,15 @@ class ScenarioConfig:
             raise ConfigError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.channel not in CHANNELS:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        for field, key, lowest in _NUMBERS:
+            value = getattr(self, field)
+            if value is None and field == "orb_max_logistic_weight":
+                continue
+            kind, what = (numbers.Real, "a number") if lowest is None else (numbers.Integral, "an integer")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            if lowest is not None and value < lowest:
+                raise ConfigError(f"{key} must be >= {lowest}, got {value}")
         if not 0.0 < self.alpha1 < 1.0:
             raise ConfigError(f"alpha1 must lie in (0,1), got {self.alpha1}")
         if not math.isfinite(self.ebn0_db):
@@ -87,25 +107,8 @@ class ScenarioConfig:
             raise ConfigError(f"P must be positive, got {self.power}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise ConfigError(f"d1/d2 must be > 0, got {self.d1}, {self.d2}")
-        if self.grand_max_weight < 0 or self.grand_max_weight > self.crc.codeword_len:
+        if self.grand_max_weight > self.crc.codeword_len:
             raise ConfigError(f"grand.max_weight out of range: {self.grand_max_weight}")
-        if self.orb_max_logistic_weight is not None and self.orb_max_logistic_weight < 0:
-            raise ConfigError(
-                f"orb.max_logistic_weight must be >= 0, got {self.orb_max_logistic_weight}"
-            )
-        if self.orb_query_budget < 1:
-            raise ConfigError(f"orb.query_budget must be >= 1, got {self.orb_query_budget}")
-        if self.min_block_errors < 1:
-            raise ConfigError(f"min_block_errors must be >= 1, got {self.min_block_errors}")
-        if self.max_blocks < 1:
-            raise ConfigError(f"max_blocks must be >= 1, got {self.max_blocks}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        if self.trials_per_batch < 1:
-            raise ConfigError(f"trials_per_batch must be >= 1, got {self.trials_per_batch}")
         if self.alpha1 >= 0.5:
             warnings.warn(
                 f"alpha1 = {self.alpha1} >= 0.5: sign-based SIC is meaningless here, because the "

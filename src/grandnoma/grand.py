@@ -9,12 +9,12 @@ reliability ranks of its flipped bits, rank 1 = least reliable).
 The generic `grand_decode` works against any membership predicate; with the
 pattern streams it is the reference.  For CRC codebooks, `hard_grand_decode`
 and `orbgrand_decode` rely on neither order depending on the received word:
-each order is generated once per process into a cached index matrix, grown
-only as far as the longest search so far has needed, and a codebook query is
-an XOR of per-position syndromes.  ORBGRAND scans the cached rows in growing
-chunks.  Hard GRAND's syndromes do not depend on the word either, so it looks
-the word's syndrome up in a table of first query indices filled from the
-same rows.
+each order is generated once per process into a cached column-major index
+array, grown only as far as the longest search so far has needed, and a
+codebook query is an XOR of per-position syndromes.  ORBGRAND scans the
+cached columns in growing chunks, each one gather and one XOR-reduce.  Hard
+GRAND's syndromes do not depend on the word either, so it looks the word's
+syndrome up in a table of first query indices filled from the same columns.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = [
     "orbgrand_decode",
 ]
 
-_FILL_ITEMS = 1024  # most stream items turned into cached rows per step
-_FIRST_CHUNK = 128  # rows per syndrome block at the start of a search ...
-_MAX_CHUNK = 16384  # ... doubling up to this
+_FILL_ITEMS = 1024  # most stream items turned into cached queries per step
+_FIRST_CHUNK = 128  # queries per syndrome block at the start of a search ...
+_MAX_CHUNK = 4096  # ... doubling up to this
 
 
 @dataclass(frozen=True)
@@ -175,20 +175,21 @@ def grand_decode(
 
 
 class _GuessOrder:
-    """One guess order, generated lazily into a zero-padded index matrix.
+    """One guess order, generated lazily into a column-major index array.
 
-    Query q is row q - 1 - `base` of `rows`: the 1-based indices it flips
-    (ranks for ORBGRAND, positions + 1 for hard GRAND), padded with 0, so
-    that with `synd[0] = 0` and `synd[i]` the syndrome of index i, the
-    syndrome of a query is the XOR of `synd` over its row.  Query 1 is the
-    empty guess.  Query weights (logistic weight, or Hamming weight for hard
-    GRAND) never decrease, so a weight cap is a prefix of the order.
+    Query q is column q - 1 - `base` of `cols`, whose rows are flip slots:
+    the 1-based indices it flips (ranks for ORBGRAND, positions + 1 for
+    hard GRAND), padded with 0, so that with `synd[0] = 0` and `synd[i]`
+    the syndrome of index i, the syndrome of a query is the XOR of `synd`
+    over its column.  Query 1 is the empty guess.  Query weights (logistic
+    weight, or Hamming weight for hard GRAND) never decrease, so a weight
+    cap is a prefix of the order.
     """
 
     def __init__(self, stream: Iterator[tuple[int, ...]], n: int, logistic: bool):
         self._stream = stream
         self._logistic = logistic
-        self.rows = np.zeros((0, 1), dtype=np.min_scalar_type(n))  # column 0 exists even before a flip is filled
+        self.cols = np.zeros((1, 0), dtype=np.min_scalar_type(n))  # slot 0 exists even before a flip is filled
         self.base = 0  # queries 1..base have been released
         self.filled = 0
         self.exhausted = False
@@ -208,14 +209,15 @@ class _GuessOrder:
         lo, hi = self.filled - self.base, self.filled - self.base + len(items)
         sizes = np.fromiter(map(len, items), np.intp, len(items))
         flat = np.fromiter(itertools.chain.from_iterable(items), np.intp, int(sizes.sum()))
-        more_rows = max(hi, len(self.rows) * 5 // 4) - len(self.rows) if hi > len(self.rows) else 0
-        more_cols = max(0, int(sizes.max()) - self.rows.shape[1])
-        if more_rows or more_cols:
-            self.rows = np.pad(self.rows, ((0, more_rows), (0, more_cols)))
-        rows = np.repeat(np.arange(lo, hi), sizes)
-        slots = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.rows[rows, slots] = flat if self._logistic else flat + 1
-        weights = self.rows[lo:hi].sum(axis=1, dtype=np.intp) if self._logistic else sizes
+        width, capacity = self.cols.shape
+        more_cols = max(hi, capacity * 5 // 4) - capacity if hi > capacity else 0
+        more_slots = max(0, int(sizes.max()) - width)
+        if more_cols or more_slots:
+            self.cols = np.pad(self.cols, ((0, more_slots), (0, more_cols)))
+        query = np.repeat(np.arange(lo, hi), sizes)
+        slot = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.cols[slot, query] = flat if self._logistic else flat + 1
+        weights = self.cols[:, lo:hi].sum(axis=0, dtype=np.intp) if self._logistic else sizes
         start = self.filled
         known = len(self._weight_end)
         ends = start + np.searchsorted(weights, np.arange(known, int(weights[-1])), side="right")
@@ -225,10 +227,10 @@ class _GuessOrder:
         self.filled += len(items)
 
     def release(self, upto: int) -> None:
-        """Drop queries 1..upto from the matrix; their weights stay known."""
+        """Drop queries 1..upto from the array; their weights stay known."""
         kept = self.filled - upto
-        self.rows[:kept] = self.rows[upto - self.base : self.filled - self.base]
-        self.rows[kept : self.filled - self.base] = 0
+        self.cols[:, :kept] = self.cols[:, upto - self.base : self.filled - self.base]
+        self.cols[:, kept : self.filled - self.base] = 0
         self.base = upto
 
     def stop(self, cap: int | None, budget: int | None) -> int | None:
@@ -257,18 +259,16 @@ class _GuessOrder:
             a, size = b, min(2 * size, _MAX_CHUNK)
 
     def syndromes(self, synd: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Syndromes of queries a+1..b, XORed one index slot at a time."""
+        """Syndromes of queries a+1..b: one gather of the block's columns, as
+        wide as the most flips among them, and one XOR over its slots."""
         width = bisect.bisect_left(self._size_start, b) - 1
-        block = self.rows[a - self.base : b - self.base]
-        acc = synd[block[:, 0]]
-        for c in range(1, width):
-            acc ^= synd[block[:, c]]
-        return acc
+        block = self.cols[:width, a - self.base : b - self.base]
+        return np.bitwise_xor.reduce(synd.take(block), axis=0)
 
     def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
         """Bit positions flipped by `query`; index i is position positions[i-1]."""
-        row = self.rows[query - 1 - self.base]
-        return tuple(sorted(positions[row[row > 0] - 1].tolist()))
+        col = self.cols[:, query - 1 - self.base]
+        return tuple(sorted(positions[col[col > 0] - 1].tolist()))
 
 
 class _SyndromeLeaders:
@@ -276,15 +276,15 @@ class _SyndromeLeaders:
     with its query index, filled as far as the searches so far have needed.
     Scanned queries are released from the order; only the leaders stay, in
     three arrays sorted by syndrome: the syndrome, its first query, and that
-    query's row of the order (positions + 1, zero-padded).  Lookups bisect
-    memoryviews of the first two, which index to plain ints."""
+    query's column of the order, as a row (positions + 1, zero-padded).
+    Lookups bisect memoryviews of the first two, which index to plain ints."""
 
     def __init__(self, code: CrcCode):
         n = code.spec.codeword_len
         self.order = _GuessOrder(hard_pattern_stream(n, n), n, logistic=False)
         self.synd = np.zeros(n + 1, code.position_syndrome_array.dtype)
         self.synd[1:] = code.position_syndrome_array
-        self.rows = np.zeros((0, 1), self.order.rows.dtype)
+        self.rows = np.zeros((0, 1), self.order.cols.dtype)
         self._pack(np.zeros(0, self.synd.dtype), np.zeros(0, np.int64))
 
     def _pack(self, syndromes: np.ndarray, queries: np.ndarray) -> None:
@@ -301,7 +301,7 @@ class _SyndromeLeaders:
         values, offsets = np.unique(self.order.syndromes(self.synd, a, b), return_index=True)
         new = ~np.isin(values, self.syndromes, assume_unique=True)
         values, offsets = values[new], offsets[new]
-        rows = self.order.rows[offsets + a - self.order.base]  # never narrower than earlier rows
+        rows = self.order.cols[:, offsets + a - self.order.base].T  # never narrower than earlier rows
         at = np.searchsorted(self.syndromes, values)
         wider = np.pad(self.rows, ((0, 0), (0, rows.shape[1] - self.rows.shape[1])))
         self.rows = np.insert(wider, at, rows, axis=0)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grandnoma.cli import main
 from grandnoma.harness import read_records_csv
 
@@ -91,6 +93,18 @@ def test_unknown_config_key_fails(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert run_cli(["sweep-snr", "--ebn0", "4", "--config", str(cfg_path), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("entry", [
+    {"workers": "2"}, {"alpha1": "0.3"}, {"trials_per_batch": 16.5}, {"max_blocks": 40.5},
+    {"seed": True}, {"orb.max_logistic_weight": 2.0}, {"P": None},
+])
+def test_config_file_value_of_the_wrong_type_fails(tmp_path, capsys, entry):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(entry))
+    assert run_cli(["sweep-snr", "--ebn0", "10", "--config", str(cfg_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(entry)) in err
 
 
 def test_bad_flag_value_fails(capsys):

@@ -378,25 +378,107 @@ def test_cache_fill_state_never_changes_a_result(monkeypatch):
             _assert_same(results[i][1], forward[i][1])
 
 
-def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
-    """Words whose first match is the query just before, at or just after
-    the first chunk boundaries (searches start with 128 queries and double)."""
+def _chunk_ends(start):
+    """Where the chunks of a search from query `start` end, through the
+    second chunk of the cap size."""
     from grandnoma import grand
 
-    monkeypatch.setattr(grand, "_LEADERS", {})
-    code = get_code(CRC12)
+    ends, size, capped = [start], grand._FIRST_CHUNK, 0
+    while capped < 2:
+        ends.append(ends[-1] + size)
+        capped += size == grand._MAX_CHUNK
+        size = min(2 * size, grand._MAX_CHUNK)
+    return ends[1:]
+
+
+def _xor_over(table, indices):
+    syndrome = 0
+    for i in indices:
+        syndrome ^= int(table[i])
+    return syndrome
+
+
+def _first_syndrome_queries(patterns, syndrome_of_index):
+    """The queries whose pattern has a syndrome no earlier pattern has."""
+    seen, first = set(), []
+    for query, pattern in enumerate(patterns, start=1):
+        syndrome = _xor_over(syndrome_of_index, pattern)
+        if syndrome not in seen:
+            seen.add(syndrome)
+            first.append(query)
+    return first
+
+
+def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
+    """Words whose first match is the query just before, at or just after
+    the chunk boundaries, up to the second chunk of the cap size.  Hard
+    GRAND's chunks start after query 0 and ORBGRAND's after query 1, the
+    empty guess; each hard search starts from an empty leader table, so that
+    its chunks end where a first search's do.  On CRC-12 most queries past a
+    few thousand share their syndrome with an earlier one, so CRC-32 puts the
+    first match on the last query of each chunk and on the first query of
+    the next."""
+    from grandnoma import grand
+
     llrs = np.arange(1.0, 129.0)  # rank r is position r - 1
-    orb = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), 1000))
-    hard = list(itertools.islice(hard_pattern_stream(128, 2), 1000))
-    for query in [*range(126, 133), *range(382, 389), *range(894, 901)]:
-        word = np.zeros(128, dtype=np.uint8)
-        word[list(orb[query - 1])] = 1
-        _assert_same(orbgrand_decode(word, llrs, code), _orb_reference(word, llrs, code))
-        word = np.zeros(128, dtype=np.uint8)
-        word[list(hard[query - 1])] = 1
-        _assert_same(hard_grand_decode(word, code, 2), _hard_reference(word, code, 2))
+    hard_ends, orb_ends = _chunk_ends(0), _chunk_ends(1)
+    last = hard_ends[-1] + 5
+    orb = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), last))
+    hard = list(itertools.islice(hard_pattern_stream(128, 3), last))
+    near = {q for end in hard_ends for q in range(end - 2, end + 5)}  # ORBGRAND's ends are one later
+    for spec in (CRC12, CrcSpec(0x82608EDB, 96, 128)):
+        code = get_code(spec)
+        for patterns, ends in ((orb, orb_ends), (hard, hard_ends)):
+            first = set(_first_syndrome_queries(patterns, code.position_syndrome_array))
+            queries = near if spec == CRC12 else {q for end in ends for q in (end, end + 1)}
+            assert spec == CRC12 or queries <= first
+            for query in sorted(queries):
+                word = np.zeros(128, dtype=np.uint8)
+                word[list(patterns[query - 1])] = 1
+                if patterns is orb:
+                    results = [(orbgrand_decode(word, llrs, code), _orb_reference(word, llrs, code))]
+                else:
+                    results = []
+                    for max_weight in (2, 3):
+                        monkeypatch.setattr(grand, "_LEADERS", {})
+                        results.append((hard_grand_decode(word, code, max_weight),
+                                        _hard_reference(word, code, max_weight)))
+                for fast, slow in results:
+                    _assert_same(fast, slow)
+                if query in first:
+                    assert results[-1][0].queries == query
 
 
+@pytest.mark.parametrize("n", [128, 300])
+def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
+    """For every query of every chunk, `_GuessOrder.syndromes` equals the XOR
+    of the per-index syndromes over the indices `pattern` reports, in the
+    ORBGRAND order, in the hard order, and in the hard order after each
+    chunk is released; n = 300 takes the wider index dtype."""
+    from grandnoma import grand
+
+    rng = np.random.default_rng(36)
+    table = rng.integers(1, 2**16, n).astype(np.uint16)
+    synd = np.concatenate([[0], table]).astype(np.uint16)
+    indices = np.arange(n)  # pattern(q, indices) reports 1-based index i as i - 1
+    budget = _chunk_ends(0)[-1] if n == 128 else 3_000
+    orders = [
+        (grand._GuessOrder(grand._orb_rank_sets(n, n * (n + 1) // 2, n), n, logistic=True), False),
+        (grand._GuessOrder(hard_pattern_stream(n, n), n, logistic=False), False),
+        (grand._GuessOrder(hard_pattern_stream(n, n), n, logistic=False), True),
+    ]
+    for order, release in orders:
+        widened = checked = 0
+        for a, b in order.chunks(0, None, budget):
+            patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
+            want = [_xor_over(table, p) for p in patterns]
+            assert order.syndromes(synd, a, b).tolist() == want
+            widened += len(patterns[0]) < len(patterns[-1])
+            checked = b
+            if release:
+                order.release(b)
+        assert checked == budget
+        assert widened  # some chunk's width grew mid-chunk
 def test_first_hard_search_with_budget_one_decodes_like_the_reference(monkeypatch):
     """From an empty cache, a budget of 1 fills only the empty guess, before
     any flip has widened the order."""
