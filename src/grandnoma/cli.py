@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import CHANNELS, DECODERS, DEFAULT_CRC, SCENARIOS, ConfigError, ScenarioConfig
+from .config import CHANNELS, CONFIG_KEYS, DECODERS, DEFAULT_CRC, SCENARIOS, ConfigError, ScenarioConfig
 from .crc import CrcSpec
 from .harness import CSV_FIELDS, SweepRecord, run_point, run_sweep, write_records
 from .phy import path_loss
@@ -27,31 +27,6 @@ from .theory import (
     bler_upper_bound,
     rayleigh_gain_sampler,
 )
-
-# (config-file key, argparse dest, ScenarioConfig field); the crc.* keys
-# build the CrcSpec and ebn0_db_list the Eb/N0 list, so they name no field
-CONFIG_KEYS = [
-    ("scenario", "scenario", "scenario"),
-    ("decoder", "decoder", "decoder"),
-    ("channel", "channel", "channel"),
-    ("alpha1", "alpha1", "alpha1"),
-    ("P", "power", "power"),
-    ("d1", "d1", "d1"),
-    ("d2", "d2", "d2"),
-    ("xi", "xi", "xi"),
-    ("ebn0_db_list", "ebn0", None),
-    ("crc.koopman_hex", "crc_koopman", None),
-    ("crc.k", "crc_k", None),
-    ("crc.n", "crc_n", None),
-    ("grand.max_weight", "grand_max_weight", "grand_max_weight"),
-    ("orb.query_budget", "orb_query_budget", "orb_query_budget"),
-    ("orb.max_logistic_weight", "orb_max_lw", "orb_max_logistic_weight"),
-    ("min_block_errors", "min_block_errors", "min_block_errors"),
-    ("max_blocks", "max_blocks", "max_blocks"),
-    ("seed", "seed", "master_seed"),
-    ("workers", "workers", "workers"),
-    ("trials_per_batch", "trials_per_batch", "trials_per_batch"),
-]
 
 
 def _float_list(text: str) -> list[float]:

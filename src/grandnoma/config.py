@@ -22,6 +22,7 @@ __all__ = [
     "DECODER_ORBGRAND",
     "DECODERS",
     "CHANNELS",
+    "CONFIG_KEYS",
 ]
 
 SCENARIO_PURE = "pure"
@@ -43,14 +44,37 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# (field, config key, lowest value) of every numeric field; None marks a real field
+# (config-file key, argparse dest, ScenarioConfig field); the crc.* keys
+# build the CrcSpec and ebn0_db_list the Eb/N0 list, so they name no field
+CONFIG_KEYS = [
+    ("scenario", "scenario", "scenario"),
+    ("decoder", "decoder", "decoder"),
+    ("channel", "channel", "channel"),
+    ("alpha1", "alpha1", "alpha1"),
+    ("P", "power", "power"),
+    ("d1", "d1", "d1"),
+    ("d2", "d2", "d2"),
+    ("xi", "xi", "xi"),
+    ("ebn0_db_list", "ebn0", None),
+    ("crc.koopman_hex", "crc_koopman", None),
+    ("crc.k", "crc_k", None),
+    ("crc.n", "crc_n", None),
+    ("grand.max_weight", "grand_max_weight", "grand_max_weight"),
+    ("orb.query_budget", "orb_query_budget", "orb_query_budget"),
+    ("orb.max_logistic_weight", "orb_max_lw", "orb_max_logistic_weight"),
+    ("min_block_errors", "min_block_errors", "min_block_errors"),
+    ("max_blocks", "max_blocks", "max_blocks"),
+    ("seed", "seed", "master_seed"),
+    ("workers", "workers", "workers"),
+    ("trials_per_batch", "trials_per_batch", "trials_per_batch"),
+]
+_KEY_OF = {field: key for key, _, field in CONFIG_KEYS if field}
+
+# (field, lowest value) of every numeric field; None marks a real field
 _NUMBERS = [
-    ("ebn0_db", "ebn0_db", None), ("alpha1", "alpha1", None), ("power", "P", None),
-    ("d1", "d1", None), ("d2", "d2", None), ("xi", "xi", None),
-    ("grand_max_weight", "grand.max_weight", 0), ("orb_max_logistic_weight", "orb.max_logistic_weight", 0),
-    ("orb_query_budget", "orb.query_budget", 1), ("min_block_errors", "min_block_errors", 1),
-    ("max_blocks", "max_blocks", 1), ("master_seed", "seed", 0), ("workers", "workers", 1),
-    ("trials_per_batch", "trials_per_batch", 1),
+    ("ebn0_db", None), ("alpha1", None), ("power", None), ("d1", None), ("d2", None), ("xi", None),
+    ("grand_max_weight", 0), ("orb_max_logistic_weight", 0), ("orb_query_budget", 1),
+    ("min_block_errors", 1), ("max_blocks", 1), ("master_seed", 0), ("workers", 1), ("trials_per_batch", 1),
 ]
 
 
@@ -88,8 +112,8 @@ class ScenarioConfig:
             raise ConfigError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.channel not in CHANNELS:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        for field, key, lowest in _NUMBERS:
-            value = getattr(self, field)
+        for field, lowest in _NUMBERS:
+            value, key = getattr(self, field), _KEY_OF.get(field, field)
             if value is None and field == "orb_max_logistic_weight":
                 continue
             kind, what = (numbers.Real, "a number") if lowest is None else (numbers.Integral, "an integer")

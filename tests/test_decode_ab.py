@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,13 +28,11 @@ def test_first_mismatch_finds_any_differing_field():
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export the parent")
-def test_replay_against_head_gives_the_captured_results(tmp_path):
-    out = tmp_path / "ab.json"
+def test_replay_against_head_gives_the_captured_results():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "decode_ab.py"), "--workload", "orb-awgn-14db",
-         "--parent", "HEAD", "--rounds", "2", "--slice", "16", "--calls", "64", "--out", str(out)],
+         "--parent", "HEAD", "--rounds", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "every result equals the captured one" in done.stdout
-    assert '"calls": 64' in out.read_text()
+    assert re.search(r"over 1 rounds of \d+ calls; every result equals the captured one", done.stdout)

@@ -479,6 +479,8 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
                 order.release(b)
         assert checked == budget
         assert widened  # some chunk's width grew mid-chunk
+
+
 def test_first_hard_search_with_budget_one_decodes_like_the_reference(monkeypatch):
     """From an empty cache, a budget of 1 fills only the empty guess, before
     any flip has widened the order."""

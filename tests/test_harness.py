@@ -347,26 +347,6 @@ def test_config_rejects_a_bad_seed(seed):
         ScenarioConfig(master_seed=seed)
 
 
-@pytest.mark.parametrize("key,field,value", [
-    ("workers", "workers", "2"),
-    ("workers", "workers", 2.0),
-    ("alpha1", "alpha1", "0.3"),
-    ("trials_per_batch", "trials_per_batch", 16.5),
-    ("max_blocks", "max_blocks", 40.5),
-    ("min_block_errors", "min_block_errors", True),
-    ("grand.max_weight", "grand_max_weight", None),
-    ("orb.query_budget", "orb_query_budget", 1e6),
-    ("orb.max_logistic_weight", "orb_max_logistic_weight", 2.5),
-    ("P", "power", True),
-    ("d2", "d2", None),
-    ("ebn0_db", "ebn0_db", "10"),
-    ("xi", "xi", [2.0]),
-])
-def test_config_rejects_numeric_fields_of_the_wrong_type(key, field, value):
-    with pytest.raises(ConfigError, match=key):
-        ScenarioConfig(**{field: value})
-
-
 def test_config_accepts_numpy_and_python_numbers():
     cfg = ScenarioConfig(alpha1=np.float64(0.3), d1=2, ebn0_db=np.int64(8), workers=np.int64(2),
                          max_blocks=np.uint32(64), orb_max_logistic_weight=None)
@@ -386,8 +366,22 @@ def test_config_accepts_any_non_negative_integer_seed():
     ("xi", "xi", float("inf")),
     ("xi", "xi", -1.0),
     ("orb.max_logistic_weight", "orb_max_logistic_weight", -3),
+    ("workers", "workers", "2"),
+    ("workers", "workers", 2.0),
+    ("alpha1", "alpha1", "0.3"),
+    ("trials_per_batch", "trials_per_batch", 16.5),
+    ("max_blocks", "max_blocks", 40.5),
+    ("min_block_errors", "min_block_errors", True),
+    ("grand.max_weight", "grand_max_weight", None),
+    ("orb.query_budget", "orb_query_budget", 1e6),
+    ("orb.max_logistic_weight", "orb_max_logistic_weight", 2.5),
+    ("P", "power", True),
+    ("d2", "d2", None),
+    ("ebn0_db", "ebn0_db", "10"),
+    ("xi", "xi", [2.0]),
 ])
 def test_config_rejects_nonfinite_and_negative_values(key, field, value):
+    """Non-finite, negative and wrongly typed values all name their key."""
     with pytest.raises(ConfigError, match=key):
         ScenarioConfig(**{field: value})
 

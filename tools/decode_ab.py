@@ -1,7 +1,6 @@
 """Decoder CPU time of a parent commit against this checkout, in one process.
 
-    python3 tools/decode_ab.py --workload orb-awgn-14db --parent HEAD~1 \\
-        [--seed 1] [--rounds 5] [--slice 256] [--calls N] [--out ab.json]
+    python3 tools/decode_ab.py --workload orb-awgn-14db --parent HEAD~1 [--seed 1] [--rounds 5]
 
 One repetition of the workload (its first, at `--seed`) runs on one worker
 under perfbench's span tracer with every decoder call captured
@@ -10,7 +9,7 @@ under perfbench's span tracer with every decoder call captured
 relative imports, so both versions live side by side.  Both sides first
 replay every captured call once, untimed, so that their guess-order caches
 hold the same.  Then, in each round, the calls are replayed in slices of
-`--slice` calls that alternate between the sides, the side that goes first
+256 calls that alternate between the sides, the side that goes first
 alternating from slice to slice, and each slice is timed with
 `time.thread_time()`.  Host speed drifts act on both sides alike, so the
 ratio holds where paired end-to-end runs cannot resolve a decoder change.
@@ -28,7 +27,6 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
-import json
 import statistics
 import sys
 import tempfile
@@ -39,6 +37,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PARENT_PACKAGE = "grandnoma_parent"
+SLICE = 256  # calls per timed slice
 
 
 def load_package(package_dir: Path, name: str):
@@ -97,12 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare with, e.g. HEAD~1")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--slice", type=int, default=256, help="calls per timed slice")
-    parser.add_argument("--calls", type=int, help="replay only the first N captured calls")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.slice < 1 or (args.calls is not None and args.calls < 1):
-        parser.error("--rounds, --slice and --calls must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
     import grandnoma
@@ -111,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
-    captured = capture(args.workload, args.seed)[: args.calls]
+    captured = capture(args.workload, args.seed)
     if not captured:
         parser.error(f"{args.workload} made no decoder call")
 
@@ -126,8 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side}: call {bad} ({captured[bad][0]}) differs from the captured result")
             return 1
 
-    slices = range(0, len(captured), args.slice)
-    rounds = []
+    slices = range(0, len(captured), SLICE)
+    ratios = []
     gc.disable()
     try:
         for r in range(args.rounds):
@@ -137,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             for i, lo in enumerate(slices):
                 order = ("parent", "change") if (r + i) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    seconds, got = replay(sides[side][lo: lo + args.slice])
+                    seconds, got = replay(sides[side][lo: lo + SLICE])
                     cpu[side] += seconds
                     results[side].extend(got)
             for side, got in results.items():
@@ -145,22 +141,16 @@ def main(argv: list[str] | None = None) -> int:
                 if bad is not None:
                     print(f"round {r + 1} {side}: call {bad} ({captured[bad][0]}) differs from the captured result")
                     return 1
-            ratio = cpu["parent"] / cpu["change"]
-            rounds.append({"parent_s": cpu["parent"], "change_s": cpu["change"], "ratio": ratio})
+            ratios.append(cpu["parent"] / cpu["change"])
             print(f"round {r + 1}: parent {cpu['parent']:.4f} s, change {cpu['change']:.4f} s, "
-                  f"ratio {ratio:.3f}", flush=True)
+                  f"ratio {ratios[-1]:.3f}", flush=True)
     finally:
         gc.enable()
 
-    ratios = [r["ratio"] for r in rounds]
     median = statistics.median(ratios)
     print(f"{args.workload} decoder CPU parent / change: median {median:.3f} "
-          f"(range {min(ratios):.3f}-{max(ratios):.3f}) over {len(rounds)} rounds of "
+          f"(range {min(ratios):.3f}-{max(ratios):.3f}) over {len(ratios)} rounds of "
           f"{len(captured)} calls; every result equals the captured one")
-    if args.out:
-        args.out.write_text(json.dumps({
-            "workload": args.workload, "seed": args.seed, "parent": args.parent, "calls": len(captured),
-            "slice": args.slice, "median_ratio": median, "rounds": rounds}, indent=2) + "\n")
     return 0
 
 
