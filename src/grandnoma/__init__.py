@@ -44,7 +44,7 @@ from .harness import (
     write_records,
 )
 from .link import (
-    TrialOutcome,
+    OUTCOME,
     draw_trial,
     receive_user1,
     receive_user2,

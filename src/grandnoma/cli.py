@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .config import CHANNELS, CONFIG_KEYS, DECODERS, DEFAULT_CRC, SCENARIOS, ConfigError, ScenarioConfig
+from .config import check_number
 from .crc import CrcSpec
 from .harness import CSV_FIELDS, SweepRecord, run_point, run_sweep, write_records
 from .phy import path_loss
@@ -99,13 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    """The file's values keyed by argparse dest."""
+    """The file's values keyed by argparse dest; keys naming no config field are checked here."""
     with open(path) as fh:
         data = json.load(fh)
     dests = {key: dest for key, dest, _ in CONFIG_KEYS}
     unknown = set(data) - set(dests)
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        if key in ("crc.k", "crc.n") or (key == "crc.koopman_hex" and not isinstance(value, str)):
+            check_number(key, value, integer=True)
+        elif key == "ebn0_db_list":
+            for entry in value if isinstance(value, list) else [value]:
+                check_number(key, entry, integer=False)
     return {dests[key]: value for key, value in data.items()}
 
 
@@ -121,12 +128,12 @@ def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]
     crc = DEFAULT_CRC
     if any(k in merged for k in ("crc_koopman", "crc_k", "crc_n")):
         koopman = merged.get("crc_koopman", hex(DEFAULT_CRC.koopman))
-        koopman = int(koopman, 16) if isinstance(koopman, str) else int(koopman)
-        crc = CrcSpec(
-            koopman=koopman,
-            message_len=int(merged.get("crc_k", DEFAULT_CRC.message_len)),
-            codeword_len=int(merged.get("crc_n", DEFAULT_CRC.codeword_len)),
-        )
+        try:
+            koopman = int(koopman, 16) if isinstance(koopman, str) else koopman
+        except ValueError:
+            raise ConfigError(f"crc.koopman_hex must be hex or an integer, got {koopman!r}") from None
+        k, n = merged.get("crc_k", DEFAULT_CRC.message_len), merged.get("crc_n", DEFAULT_CRC.codeword_len)
+        crc = CrcSpec(koopman=koopman, message_len=k, codeword_len=n)
 
     ebn0 = merged.get("ebn0", [])
     ebn0_list = [float(v) for v in (ebn0 if isinstance(ebn0, list) else [ebn0])]

@@ -78,6 +78,13 @@ _NUMBERS = [
 ]
 
 
+def check_number(key: str, value, integer: bool) -> None:
+    """Raise a ConfigError naming `key` unless `value` is a non-bool number (integer if `integer`)."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulated operating point.
@@ -116,9 +123,7 @@ class ScenarioConfig:
             value, key = getattr(self, field), _KEY_OF.get(field, field)
             if value is None and field == "orb_max_logistic_weight":
                 continue
-            kind, what = (numbers.Real, "a number") if lowest is None else (numbers.Integral, "an integer")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            check_number(key, value, integer=lowest is not None)
             if lowest is not None and value < lowest:
                 raise ConfigError(f"{key} must be >= {lowest}, got {value}")
         if not 0.0 < self.alpha1 < 1.0:

@@ -227,10 +227,11 @@ class _GuessOrder:
         self.filled += len(items)
 
     def release(self, upto: int) -> None:
-        """Drop queries 1..upto from the array; their weights stay known."""
+        """Drop queries 1..upto from the array; their weights stay known.  Freed
+        columns keep stale slots: only hard orders are released, and as their
+        flip counts never decrease, the next `_append` overwrites them all."""
         kept = self.filled - upto
         self.cols[:, :kept] = self.cols[:, upto - self.base : self.filled - self.base]
-        self.cols[:, kept : self.filled - self.base] = 0
         self.base = upto
 
     def stop(self, cap: int | None, budget: int | None) -> int | None:

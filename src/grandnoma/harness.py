@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .link import run_trial
+from .link import OUTCOME, run_trial
 
 __all__ = [
     "SweepRecord",
@@ -207,53 +208,17 @@ class _TrialStreams:
             yield self.rng
 
 
-@dataclass
-class _Totals:
-    blocks: int = 0
-    bit_errors_u1: int = 0
-    bit_errors_u2: int = 0
-    block_errors_u1: int = 0
-    block_errors_u2: int = 0
-    recon_errors: int = 0
-    undetected: int = 0
-    queries_u1: int = 0
-    queries_u2: int = 0
-    queries_assist: int = 0
-
-    def add(self, outcome) -> None:
-        """Count a block of trials: a TrialOutcome of per-trial arrays."""
-        self.blocks += len(outcome.bit_errors_user1)
-        self.bit_errors_u1 += int(outcome.bit_errors_user1.sum())
-        self.bit_errors_u2 += int(outcome.bit_errors_user2.sum())
-        self.block_errors_u1 += int(outcome.block_error_user1.sum())
-        self.block_errors_u2 += int(outcome.block_error_user2.sum())
-        self.recon_errors += int(outcome.sic_reconstruction_errors.sum())
-        self.undetected += int(outcome.undetected_error_user1_assist.sum())
-        self.queries_u1 += int(outcome.queries_user1.sum())
-        self.queries_u2 += int(outcome.queries_user2.sum())
-        self.queries_assist += int(outcome.queries_assist.sum())
-
-    def merge(self, other: "_Totals") -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
-
-
-def _run_batch(cfg: ScenarioConfig, point_index: int, start: int, count: int) -> _Totals:
-    totals = _Totals()
+def _run_batch(cfg: ScenarioConfig, point_index: int, start: int, count: int) -> Counter:
     keys = _philox_keys(cfg.master_seed, point_index, start, count).tolist()
     rng = np.random.Generator(np.random.Philox())
-    for first in range(0, count, TRIALS_PER_BLOCK):
-        totals.add(run_trial(cfg, _TrialStreams(rng, keys[first:first + TRIALS_PER_BLOCK])))
-    return totals
+    firsts = range(0, count, TRIALS_PER_BLOCK)
+    table = np.concatenate([run_trial(cfg, _TrialStreams(rng, keys[i:i + TRIALS_PER_BLOCK])) for i in firsts])
+    return Counter(blocks=len(table), **{name: int(table[name].sum()) for name in OUTCOME.names})
 
 
-def _stop(cfg: ScenarioConfig, totals: _Totals) -> bool:
-    if totals.blocks >= cfg.max_blocks:
-        return True
-    return (
-        totals.block_errors_u1 >= cfg.min_block_errors
-        and totals.block_errors_u2 >= cfg.min_block_errors
-    )
+def _stop(cfg: ScenarioConfig, totals: Counter) -> bool:
+    errors = min(totals["block_error_user1"], totals["block_error_user2"])
+    return totals["blocks"] >= cfg.max_blocks or errors >= cfg.min_block_errors
 
 
 def _batch_plan(cfg: ScenarioConfig):
@@ -310,10 +275,10 @@ def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor 
     """`run_point` on `pool`, or in this process if it is None.  Batches
     still running when the point stops finish unread."""
     started = time.perf_counter()
-    totals = _Totals()
+    totals = Counter()
     if pool is None:
         for start, count in _batch_plan(cfg):
-            totals.merge(_run_batch(cfg, point_index, start, count))
+            totals.update(_run_batch(cfg, point_index, start, count))
             if _stop(cfg, totals):
                 break
     else:
@@ -332,7 +297,7 @@ def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor 
             if not pending:
                 break
             # merge strictly in submission (= trial index) order
-            totals.merge(pending.pop(0).result())
+            totals.update(pending.pop(0).result())
             stopped = _stop(cfg, totals)
         for fut in pending:
             fut.cancel()
@@ -343,19 +308,13 @@ def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor 
     )
 
 
-def _record(cfg: ScenarioConfig, user: int, totals: _Totals, elapsed: float) -> SweepRecord:
-    blocks = totals.blocks
+def _record(cfg: ScenarioConfig, user: int, totals: Counter, elapsed: float) -> SweepRecord:
+    blocks = totals["blocks"]
     bits = blocks * cfg.crc.message_len
-    if user == 1:
-        bit_errors = totals.bit_errors_u1
-        block_errors = totals.block_errors_u1
-        queries = totals.queries_u1 + totals.queries_assist
-        undetected_rate = totals.undetected / blocks if blocks else 0.0
-    else:
-        bit_errors = totals.bit_errors_u2
-        block_errors = totals.block_errors_u2
-        queries = totals.queries_u2
-        undetected_rate = 0.0
+    bit_errors = totals[f"bit_errors_user{user}"]
+    block_errors = totals[f"block_error_user{user}"]
+    queries = totals[f"queries_user{user}"] + (totals["queries_assist"] if user == 1 else 0)
+    undetected = totals["undetected_error_user1_assist"] if user == 1 else 0
     return SweepRecord(
         scenario=cfg.scenario,
         decoder=cfg.decoder,
@@ -372,7 +331,7 @@ def _record(cfg: ScenarioConfig, user: int, totals: _Totals, elapsed: float) -> 
         block_errors=block_errors,
         bler=block_errors / blocks if blocks else 0.0,
         mean_queries=queries / blocks if blocks else 0.0,
-        undetected_rate=undetected_rate,
+        undetected_rate=undetected / blocks if blocks else 0.0,
         seed=cfg.master_seed,
         wall_time_s=elapsed,
     )

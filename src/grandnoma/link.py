@@ -23,7 +23,6 @@ from its own generator into block arrays and runs the block body once.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,9 +54,7 @@ from .phy import (
 
 __all__ = [
     "TrialDraw",
-    "SicResult",
-    "ReceiverStats",
-    "TrialOutcome",
+    "OUTCOME",
     "transmit",
     "receive_user2",
     "sic_user1",
@@ -83,37 +80,14 @@ class TrialDraw:
     n2: np.ndarray
 
 
-@dataclass
-class SicResult:
-    reconstructed: np.ndarray
-    queries: np.ndarray
-    abandoned: np.ndarray
-
-
-@dataclass
-class ReceiverStats:
-    queries: np.ndarray
-    abandoned: np.ndarray
-    sic: SicResult | None = None
-
-
-@dataclass
-class TrialOutcome:
-    """Per-trial error counts (message bits only) and decoder statistics:
-    scalars for one trial, arrays over the trials of a block."""
-
-    bit_errors_user1: int
-    bit_errors_user2: int
-    block_error_user1: bool
-    block_error_user2: bool
-    sic_reconstruction_errors: int
-    undetected_error_user1_assist: bool
-    queries_user1: int
-    queries_user2: int
-    queries_assist: int
-    abandoned_user1: bool
-    abandoned_user2: bool
-    abandoned_assist: bool
+# One row per trial: error counts (message bits only) and decoder statistics.
+OUTCOME = np.dtype([
+    ("bit_errors_user1", np.int64), ("bit_errors_user2", np.int64),
+    ("block_error_user1", bool), ("block_error_user2", bool),
+    ("sic_reconstruction_errors", np.int64), ("undetected_error_user1_assist", bool),
+    ("queries_user1", np.int64), ("queries_user2", np.int64), ("queries_assist", np.int64),
+    ("abandoned_user1", bool), ("abandoned_user2", bool), ("abandoned_assist", bool),
+])
 
 
 def transmit(u1: np.ndarray, u2: np.ndarray, cfg: ScenarioConfig):
@@ -171,7 +145,7 @@ def receive_user2(received: np.ndarray, ch2: ChannelRealization, cfg: ScenarioCo
     """Far-user receiver: equalize, then hard decisions or guess-and-check
     decoding with the near user's layer treated as noise.
 
-    Returns (u2_hat, ReceiverStats).
+    Returns (u2_hat, queries, abandoned).
     """
     y = equalize(received, ch2)
     codeword, queries, abandoned = _decode(
@@ -180,14 +154,14 @@ def receive_user2(received: np.ndarray, ch2: ChannelRealization, cfg: ScenarioCo
         interferer_power=cfg.alpha1 * cfg.power,
         enabled=cfg.scenario != SCENARIO_PURE,
     )
-    return codeword[..., : cfg.crc.message_len].copy(), ReceiverStats(queries, abandoned)
+    return codeword[..., : cfg.crc.message_len].copy(), queries, abandoned
 
 
 def sic_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig):
     """Reconstruct user 2's codeword at user 1 and subtract its contribution.
 
     In "grand-assist" the hard-decision reconstruction is first corrected by
-    the configured decoder.  Returns (r_sic, SicResult).
+    the configured decoder.  Returns (r_sic, reconstructed, queries, abandoned).
     """
     y = equalize(received, ch1)
     # Reconstruction LLRs weight reliability by the fade-scaled noise
@@ -205,24 +179,24 @@ def sic_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig
     )
     s_hat = bpsk_modulate(reconstructed)
     r_sic = received - np.sqrt(cfg.alpha2 * cfg.power) * propagate(s_hat, ch1)
-    return r_sic, SicResult(reconstructed, queries, abandoned)
+    return r_sic, reconstructed, queries, abandoned
 
 
 def receive_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig):
     """Near-user receiver: SIC, equalize the refined observation, then hard
     decisions or guess-and-check decoding of the own layer.
 
-    Returns (u1_hat, ReceiverStats); stats.sic carries the reconstruction.
+    Returns (u1_hat, queries, abandoned, sic), sic being `sic_user1`'s last three.
     """
-    r_sic, sic = sic_user1(received, ch1, cfg)
-    y = equalize(r_sic, ch1)
+    sic = sic_user1(received, ch1, cfg)
+    y = equalize(sic[0], ch1)
     codeword, queries, abandoned = _decode(
         hard_demod(y), y, ch1, cfg,
         amplitude=np.sqrt(cfg.alpha1 * cfg.power),
         interferer_power=0.0,
         enabled=cfg.scenario != SCENARIO_PURE,
     )
-    return codeword[..., : cfg.crc.message_len].copy(), ReceiverStats(queries, abandoned, sic=sic)
+    return codeword[..., : cfg.crc.message_len].copy(), queries, abandoned, sic[1:]
 
 
 def draw_trial(
@@ -287,52 +261,41 @@ def draw_trial(
     return TrialDraw(u[pick, :k], u[pick, k:], ch1, ch2, n[pick, 0], n[pick, 1])
 
 
-def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> TrialOutcome:
+def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> np.ndarray:
     """Deterministic trial body: run both receivers on one set of draws, or
-    on a block of them."""
+    on a block of them.  Returns an `OUTCOME` array over the leading axes."""
     s_sigma, _, c2 = transmit(draw.u1, draw.u2, cfg)
     r1 = propagate(s_sigma, draw.ch1) + draw.n1
     r2 = propagate(s_sigma, draw.ch2) + draw.n2
 
-    u2_hat, stats2 = receive_user2(r2, draw.ch2, cfg)
-    u1_hat, stats1 = receive_user1(r1, draw.ch1, cfg)
-    sic = stats1.sic
+    out = np.zeros(draw.u1.shape[:-1], OUTCOME)
+    u2_hat, out["queries_user2"], out["abandoned_user2"] = receive_user2(r2, draw.ch2, cfg)
+    u1_hat, out["queries_user1"], out["abandoned_user1"], sic = receive_user1(r1, draw.ch1, cfg)
+    reconstructed, out["queries_assist"], out["abandoned_assist"] = sic
 
-    errors1 = np.count_nonzero(u1_hat != draw.u1, axis=-1)
-    errors2 = np.count_nonzero(u2_hat != draw.u2, axis=-1)
-    recon_errors = np.count_nonzero(sic.reconstructed != c2, axis=-1)
-    undetected = (cfg.scenario == SCENARIO_GRAND_ASSIST) & ~sic.abandoned & (recon_errors > 0)
-    return TrialOutcome(
-        bit_errors_user1=errors1,
-        bit_errors_user2=errors2,
-        block_error_user1=errors1 > 0,
-        block_error_user2=errors2 > 0,
-        sic_reconstruction_errors=recon_errors,
-        undetected_error_user1_assist=undetected,
-        queries_user1=stats1.queries,
-        queries_user2=stats2.queries,
-        queries_assist=sic.queries,
-        abandoned_user1=stats1.abandoned,
-        abandoned_user2=stats2.abandoned,
-        abandoned_assist=sic.abandoned,
-    )
+    out["bit_errors_user1"] = errors1 = np.count_nonzero(u1_hat != draw.u1, axis=-1)
+    out["bit_errors_user2"] = errors2 = np.count_nonzero(u2_hat != draw.u2, axis=-1)
+    out["block_error_user1"] = errors1 > 0
+    out["block_error_user2"] = errors2 > 0
+    out["sic_reconstruction_errors"] = recon_errors = np.count_nonzero(reconstructed != c2, axis=-1)
+    accepted_wrong = ~out["abandoned_assist"] & (recon_errors > 0)
+    out["undetected_error_user1_assist"] = (cfg.scenario == SCENARIO_GRAND_ASSIST) & accepted_wrong
+    return out
 
 
 def run_trial(
     cfg: ScenarioConfig, rng: np.random.Generator | Iterable[np.random.Generator]
-) -> TrialOutcome:
+) -> np.ndarray:
     """Monte Carlo blocks: draw each trial from its own generator, then run
     both receivers once over the block of draws.
 
-    One generator gives one trial and a TrialOutcome of scalars.  A sized
-    iterable of generators gives a TrialOutcome of per-trial arrays, in
-    generator order, equal to the single-generator outcomes of the same
-    generators.  The iterable is consumed once, in order, and each
-    generator is drawn from completely before the next is requested
+    One generator gives one trial, a single `OUTCOME` record.  A sized
+    iterable of generators gives an `OUTCOME` array with one row per
+    generator, in generator order, equal to the single-generator outcomes
+    of the same generators.  The iterable is consumed once, in order, and
+    each generator is drawn from completely before the next is requested
     (`draw_trial`).
     """
     single = isinstance(rng, np.random.Generator)
     block = simulate_trial(cfg, draw_trial(cfg, [rng] if single else rng))
-    if not single:
-        return block
-    return TrialOutcome(**{f.name: getattr(block, f.name)[0].item() for f in dataclasses.fields(block)})
+    return block[0] if single else block

@@ -160,7 +160,7 @@ def _matched_block_errors(ebn0_db, n_trials, seed):
         cfg = ScenarioConfig(scenario=scenario, decoder="grand", channel="awgn",
                              ebn0_db=ebn0_db, master_seed=seed)
         flags[scenario] = [
-            run_trial(cfg, derive_trial_rng(seed, 0, i)).block_error_user1
+            run_trial(cfg, derive_trial_rng(seed, 0, i))["block_error_user1"]
             for i in range(n_trials)
         ]
     return flags

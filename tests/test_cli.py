@@ -98,6 +98,9 @@ def test_unknown_config_key_fails(tmp_path):
 @pytest.mark.parametrize("entry", [
     {"workers": "2"}, {"alpha1": "0.3"}, {"trials_per_batch": 16.5}, {"max_blocks": 40.5},
     {"seed": True}, {"orb.max_logistic_weight": 2.0}, {"P": None},
+    {"crc.n": 128.9, "crc.k": 116}, {"crc.k": 116.2}, {"crc.k": "116"}, {"crc.n": True},
+    {"crc.koopman_hex": 2291.7}, {"crc.koopman_hex": "0xzz"}, {"crc.koopman_hex": None},
+    {"ebn0_db_list": ["x"]}, {"ebn0_db_list": [4.0, True]}, {"ebn0_db_list": "4"},
 ])
 def test_config_file_value_of_the_wrong_type_fails(tmp_path, capsys, entry):
     cfg_path = tmp_path / "bad.json"
