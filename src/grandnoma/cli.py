@@ -1,10 +1,10 @@
 """Command-line interface: sweeps, theory curves, and a quick self check.
 
 Subcommands: sweep-snr, sweep-power, sweep-distance, analyze, selfcheck.
-Flags mirror the config keys; a JSON config file with flat dotted keys
-("crc.koopman_hex", "grand.max_weight", ...) may supply defaults that
-explicit flags override.  Records go to stdout or --out; progress and
-diagnostics go to stderr.
+Every config key has one flag, built from its `CONFIG_KEYS` row; a JSON
+config file with flat dotted keys ("crc.koopman_hex", "grand.max_weight",
+...) may supply defaults that explicit flags override.  Records go to
+stdout or --out; progress and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import sys
 
 import numpy as np
 
-from .config import CHANNELS, CONFIG_KEYS, DECODERS, DEFAULT_CRC, SCENARIOS, ConfigError, ScenarioConfig
-from .config import check_number
+from .config import CONFIG_KEYS, DEFAULT_CRC, ConfigError, ScenarioConfig, check_value
 from .crc import CrcSpec
-from .harness import CSV_FIELDS, SweepRecord, run_point, run_sweep, write_records
+from .harness import CSV_FIELDS, SWEEP_AXES, SweepRecord, run_point, run_sweep, write_records
 from .phy import path_loss
 from .theory import (
     TheoryInputs,
@@ -39,25 +38,11 @@ def _float_list(text: str) -> list[float]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with flat config keys; flags override")
-    parser.add_argument("--scenario", choices=SCENARIOS)
-    parser.add_argument("--decoder", choices=DECODERS)
-    parser.add_argument("--channel", choices=CHANNELS)
-    parser.add_argument("--alpha1", type=float)
-    parser.add_argument("--power", type=float, help="total transmit power P")
-    parser.add_argument("--d1", type=float)
-    parser.add_argument("--d2", type=float)
-    parser.add_argument("--xi", type=float, help="path-loss exponent")
-    parser.add_argument("--crc-koopman", help="generator in Koopman hex, e.g. 0x8f3")
-    parser.add_argument("--crc-k", type=int, help="message length in bits")
-    parser.add_argument("--crc-n", type=int, help="codeword length in bits")
-    parser.add_argument("--grand-max-weight", type=int)
-    parser.add_argument("--orb-query-budget", type=int)
-    parser.add_argument("--orb-max-lw", type=int)
-    parser.add_argument("--min-block-errors", type=int)
-    parser.add_argument("--max-blocks", type=int)
-    parser.add_argument("--trials-per-batch", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
+    for _, dest, _, kind, _, text in CONFIG_KEYS:
+        if dest != "ebn0":  # each command gives --ebn0 its own help
+            choices = kind if isinstance(kind, tuple) else None
+            parser.add_argument("--" + dest.replace("_", "-"), choices=choices,
+                                type=kind if kind in (int, float) else None, help=text)
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -100,45 +85,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    """The file's values keyed by argparse dest; keys naming no config field are checked here."""
+    """The file's values keyed by argparse dest, each checked as it loads."""
     with open(path) as fh:
         data = json.load(fh)
-    dests = {key: dest for key, dest, _ in CONFIG_KEYS}
-    unknown = set(data) - set(dests)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {key for key, *_ in CONFIG_KEYS}
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        if key in ("crc.k", "crc.n") or (key == "crc.koopman_hex" and not isinstance(value, str)):
-            check_number(key, value, integer=True)
-        elif key == "ebn0_db_list":
-            for entry in value if isinstance(value, list) else [value]:
-                check_number(key, entry, integer=False)
-    return {dests[key]: value for key, value in data.items()}
+    return {dest: check_value(key, kind, lowest, data[key])
+            for key, dest, _, kind, lowest, _ in CONFIG_KEYS if key in data}
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]]:
     """Merge defaults < config file < flags into a ScenarioConfig plus the
     Eb/N0 list."""
     merged = _load_config_file(args.config) if args.config else {}
-    for _, dest, _ in CONFIG_KEYS:
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            merged[dest] = flag_value
+    for key, dest, _, kind, lowest, _ in CONFIG_KEYS:
+        if getattr(args, dest, None) is not None:
+            merged[dest] = check_value(key, kind, lowest, getattr(args, dest))
 
-    crc = DEFAULT_CRC
-    if any(k in merged for k in ("crc_koopman", "crc_k", "crc_n")):
-        koopman = merged.get("crc_koopman", hex(DEFAULT_CRC.koopman))
-        try:
-            koopman = int(koopman, 16) if isinstance(koopman, str) else koopman
-        except ValueError:
-            raise ConfigError(f"crc.koopman_hex must be hex or an integer, got {koopman!r}") from None
-        k, n = merged.get("crc_k", DEFAULT_CRC.message_len), merged.get("crc_n", DEFAULT_CRC.codeword_len)
-        crc = CrcSpec(koopman=koopman, message_len=k, codeword_len=n)
-
+    crc = CrcSpec(koopman=merged.get("crc_koopman", DEFAULT_CRC.koopman),
+                  message_len=merged.get("crc_k", DEFAULT_CRC.message_len),
+                  codeword_len=merged.get("crc_n", DEFAULT_CRC.codeword_len))
     ebn0 = merged.get("ebn0", [])
     ebn0_list = [float(v) for v in (ebn0 if isinstance(ebn0, list) else [ebn0])]
 
-    kwargs = {field: merged[dest] for _, dest, field in CONFIG_KEYS if field and dest in merged}
+    kwargs = {field: merged[dest] for _, dest, field, *_ in CONFIG_KEYS if field and dest in merged}
     cfg = ScenarioConfig(crc=crc, **kwargs)
     if ebn0_list:
         cfg = cfg.at(ebn0_db=ebn0_list[0])
@@ -170,6 +143,8 @@ def _progress(args: argparse.Namespace, message: str) -> None:
 
 def _run_simulation_sweep(args: argparse.Namespace) -> int:
     cfg, ebn0_list = _build_config(args)
+    if args.command != "sweep-snr" and len(ebn0_list) > 1:
+        raise ConfigError(f"ebn0_db_list: {args.command} takes a single Eb/N0 point, got {ebn0_list}")
     if args.command == "sweep-snr":
         axis, values = "ebn0", ebn0_list
         if not values:
@@ -184,7 +159,7 @@ def _run_simulation_sweep(args: argparse.Namespace) -> int:
         rec = pair[0]
         _progress(
             args,
-            f"[{args.command}] {axis}={getattr(rec, 'ebn0_db' if axis == 'ebn0' else axis):g} "
+            f"[{args.command}] {axis}={getattr(rec, SWEEP_AXES[axis]):g} "
             f"blocks={rec.blocks} ber1={pair[0].ber:.3e} ber2={pair[1].ber:.3e} "
             f"({rec.wall_time_s:.1f}s)",
         )

@@ -23,6 +23,7 @@ __all__ = [
     "DECODERS",
     "CHANNELS",
     "CONFIG_KEYS",
+    "check_value",
 ]
 
 SCENARIO_PURE = "pure"
@@ -44,45 +45,60 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# (config-file key, argparse dest, ScenarioConfig field); the crc.* keys
-# build the CrcSpec and ebn0_db_list the Eb/N0 list, so they name no field
+HEX = "hex"  # a hex string or an integer
+FLOATS = "floats"  # a number or a list of numbers
+
+# (config-file key, argparse dest, ScenarioConfig field, kind, lowest value,
+# flag help), in the order of the flags' help.  A kind is a tuple of
+# choices, float, int, HEX or FLOATS; integer kinds give their lowest value.
+# The crc.* keys build the CrcSpec and ebn0_db_list the Eb/N0 list, so they
+# name no field.
 CONFIG_KEYS = [
-    ("scenario", "scenario", "scenario"),
-    ("decoder", "decoder", "decoder"),
-    ("channel", "channel", "channel"),
-    ("alpha1", "alpha1", "alpha1"),
-    ("P", "power", "power"),
-    ("d1", "d1", "d1"),
-    ("d2", "d2", "d2"),
-    ("xi", "xi", "xi"),
-    ("ebn0_db_list", "ebn0", None),
-    ("crc.koopman_hex", "crc_koopman", None),
-    ("crc.k", "crc_k", None),
-    ("crc.n", "crc_n", None),
-    ("grand.max_weight", "grand_max_weight", "grand_max_weight"),
-    ("orb.query_budget", "orb_query_budget", "orb_query_budget"),
-    ("orb.max_logistic_weight", "orb_max_lw", "orb_max_logistic_weight"),
-    ("min_block_errors", "min_block_errors", "min_block_errors"),
-    ("max_blocks", "max_blocks", "max_blocks"),
-    ("seed", "seed", "master_seed"),
-    ("workers", "workers", "workers"),
-    ("trials_per_batch", "trials_per_batch", "trials_per_batch"),
-]
-_KEY_OF = {field: key for key, _, field in CONFIG_KEYS if field}
-
-# (field, lowest value) of every numeric field; None marks a real field
-_NUMBERS = [
-    ("ebn0_db", None), ("alpha1", None), ("power", None), ("d1", None), ("d2", None), ("xi", None),
-    ("grand_max_weight", 0), ("orb_max_logistic_weight", 0), ("orb_query_budget", 1),
-    ("min_block_errors", 1), ("max_blocks", 1), ("master_seed", 0), ("workers", 1), ("trials_per_batch", 1),
+    ("scenario", "scenario", "scenario", SCENARIOS, None, None),
+    ("decoder", "decoder", "decoder", DECODERS, None, None),
+    ("channel", "channel", "channel", CHANNELS, None, None),
+    ("alpha1", "alpha1", "alpha1", float, None, None),
+    ("P", "power", "power", float, None, "total transmit power P"),
+    ("d1", "d1", "d1", float, None, None),
+    ("d2", "d2", "d2", float, None, None),
+    ("xi", "xi", "xi", float, None, "path-loss exponent"),
+    ("ebn0_db_list", "ebn0", None, FLOATS, None, None),
+    ("crc.koopman_hex", "crc_koopman", None, HEX, None, "generator in Koopman hex, e.g. 0x8f3"),
+    ("crc.k", "crc_k", None, int, 1, "message length in bits"),
+    ("crc.n", "crc_n", None, int, 2, "codeword length in bits"),
+    ("grand.max_weight", "grand_max_weight", "grand_max_weight", int, 0, None),
+    ("orb.query_budget", "orb_query_budget", "orb_query_budget", int, 1, None),
+    ("orb.max_logistic_weight", "orb_max_lw", "orb_max_logistic_weight", int, 0, None),
+    ("min_block_errors", "min_block_errors", "min_block_errors", int, 1, None),
+    ("max_blocks", "max_blocks", "max_blocks", int, 1, None),
+    ("trials_per_batch", "trials_per_batch", "trials_per_batch", int, 1, None),
+    ("seed", "seed", "master_seed", int, 0, None),
+    ("workers", "workers", "workers", int, 1, None),
 ]
 
 
-def check_number(key: str, value, integer: bool) -> None:
-    """Raise a ConfigError naming `key` unless `value` is a non-bool number (integer if `integer`)."""
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
+def check_value(key: str, kind, lowest, value):
+    """Return `value`, a HEX string as its integer, if it suits `key`'s kind
+    and lowest value; otherwise raise a ConfigError naming `key`."""
+    if kind is FLOATS and isinstance(value, list):
+        return [check_value(key, float, None, entry) for entry in value]
+    if value is None and key == "orb.max_logistic_weight":  # null: no cap
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    if kind is HEX and isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            raise ConfigError(f"{key} must be hex or an integer, got {value!r}") from None
+    number, what = (numbers.Integral, "an integer") if kind in (int, HEX) else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, number):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if lowest is not None and value < lowest:
+        raise ConfigError(f"{key} must be >= {lowest}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,19 +129,10 @@ class ScenarioConfig:
     trials_per_batch: int = 256
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.decoder not in DECODERS:
-            raise ConfigError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.channel not in CHANNELS:
-            raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        for field, lowest in _NUMBERS:
-            value, key = getattr(self, field), _KEY_OF.get(field, field)
-            if value is None and field == "orb_max_logistic_weight":
-                continue
-            check_number(key, value, integer=lowest is not None)
-            if lowest is not None and value < lowest:
-                raise ConfigError(f"{key} must be >= {lowest}, got {value}")
+        for key, _, field, kind, lowest, _ in CONFIG_KEYS:
+            if field:
+                check_value(key, kind, lowest, getattr(self, field))
+        check_value("ebn0_db", float, None, self.ebn0_db)
         if not 0.0 < self.alpha1 < 1.0:
             raise ConfigError(f"alpha1 must lie in (0,1), got {self.alpha1}")
         if not math.isfinite(self.ebn0_db):

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import typing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -49,13 +50,8 @@ WORKERS_ENV_VAR = "GRANDNOMA_WORKERS"
 # cost resident memory (DECISIONS.md, D4).
 TRIALS_PER_BLOCK = 32
 
-CSV_FIELDS = [
-    "scenario", "decoder", "channel", "ebn0_db", "alpha1", "d1", "d2", "user",
-    "bits", "bit_errors", "ber", "blocks", "block_errors", "bler",
-    "mean_queries", "undetected_rate", "seed", "wall_time_s",
-]
-
-SWEEP_AXES = ("ebn0", "alpha1", "d1")
+# sweep axis -> the ScenarioConfig field and record column it sets
+SWEEP_AXES = {"ebn0": "ebn0_db", "alpha1": "alpha1", "d1": "d1"}
 
 
 @dataclass
@@ -80,6 +76,9 @@ class SweepRecord:
     undetected_rate: float
     seed: int
     wall_time_s: float
+
+
+CSV_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
 
 
 def derive_trial_rng(master_seed: int, point_index: int, trial_index: int) -> np.random.Generator:
@@ -352,17 +351,16 @@ def run_sweep(
     from point to point (DECISIONS.md, D9).
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError(f"{axis}: sweep axis must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{axis}: sweep values must be strictly increasing, got {values}")
-    field = {"ebn0": "ebn0_db", "alpha1": "alpha1", "d1": "d1"}[axis]
     records: list[SweepRecord] = []
     with _pool(cfg) as pool:
         for point_index, value in enumerate(values):
-            point_cfg = cfg.at(**{field: value})
+            point_cfg = cfg.at(**{SWEEP_AXES[axis]: value})
             # one worker goes through `run_point`, the per-point span that
             # perfbench's tracer wraps
             if pool is None:
@@ -417,24 +415,9 @@ def write_records(records: Iterable[SweepRecord], fmt: str = "csv", path: str | 
 
 def read_records_csv(path: str) -> list[SweepRecord]:
     """Parse a CSV written by `write_records` back into records."""
-    out = []
+    kinds = typing.get_type_hints(SweepRecord)  # each column parses by its field's type
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_FIELDS:
             raise ValueError(f"unexpected CSV header in {path!r}: {reader.fieldnames}")
-        for row in reader:
-            kwargs = {name: _parse_field(name, row[name]) for name in CSV_FIELDS}
-            out.append(SweepRecord(**kwargs))
-    return out
-
-
-_INT_FIELDS = {"user", "bits", "bit_errors", "blocks", "block_errors", "seed"}
-_STR_FIELDS = {"scenario", "decoder", "channel"}
-
-
-def _parse_field(name: str, raw: str):
-    if name in _STR_FIELDS:
-        return raw
-    if name in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+        return [SweepRecord(**{name: kinds[name](row[name]) for name in CSV_FIELDS}) for row in reader]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from grandnoma.cli import main
+from grandnoma.cli import _build_config, build_parser, main
+from grandnoma.config import CONFIG_KEYS, ScenarioConfig
 from grandnoma.harness import read_records_csv
 
 
@@ -95,19 +96,91 @@ def test_unknown_config_key_fails(tmp_path):
     assert run_cli(["sweep-snr", "--ebn0", "4", "--config", str(cfg_path), "--quiet"]) == 1
 
 
-@pytest.mark.parametrize("entry", [
+# (file entry, flags); a flag that overrides a bad file value must not hide it
+WRONG_TYPE_CASES = [(entry, []) for entry in [
     {"workers": "2"}, {"alpha1": "0.3"}, {"trials_per_batch": 16.5}, {"max_blocks": 40.5},
     {"seed": True}, {"orb.max_logistic_weight": 2.0}, {"P": None},
     {"crc.n": 128.9, "crc.k": 116}, {"crc.k": 116.2}, {"crc.k": "116"}, {"crc.n": True},
     {"crc.koopman_hex": 2291.7}, {"crc.koopman_hex": "0xzz"}, {"crc.koopman_hex": None},
     {"ebn0_db_list": ["x"]}, {"ebn0_db_list": [4.0, True]}, {"ebn0_db_list": "4"},
-])
-def test_config_file_value_of_the_wrong_type_fails(tmp_path, capsys, entry):
+]] + [
+    ({"alpha1": "0.3"}, ["--alpha1", "0.25"]),
+    ({"workers": "2"}, ["--workers", "1"]),
+    ({"scenario": "bogus"}, ["--scenario", "pure"]),
+    ({"trials_per_batch": 16.5}, ["--trials-per-batch", "32"]),
+]
+
+
+@pytest.mark.parametrize("entry,flags", WRONG_TYPE_CASES,
+                         ids=[f"entry{i}" for i in range(len(WRONG_TYPE_CASES))])
+def test_config_file_value_of_the_wrong_type_fails(tmp_path, capsys, entry, flags):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(entry))
-    assert run_cli(["sweep-snr", "--ebn0", "10", "--config", str(cfg_path), "--quiet"]) == 1
+    assert run_cli(["sweep-snr", "--ebn0", "10", "--config", str(cfg_path), "--quiet", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(entry)) in err
+
+
+@pytest.mark.parametrize("text", ['[{"a": 1}]', '"scenario"', "[1, 2]"])
+def test_config_file_that_is_not_a_json_object_fails(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    assert run_cli(["sweep-snr", "--ebn0", "10", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: config file must be a JSON object")
+
+
+def test_config_file_null_max_logistic_weight_means_no_cap(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"orb.max_logistic_weight": None}))
+    cfg, _ = _build_config(build_parser().parse_args(["sweep-snr", "--config", str(cfg_path)]))
+    assert cfg.orb_max_logistic_weight is None
+
+
+# config key -> (its flag, a valid non-default value, flags that both runs
+# need for that value to make a valid config)
+NON_DEFAULT = {
+    "scenario": ("--scenario", "grand-assist", []),
+    "decoder": ("--decoder", "orbgrand", []),
+    "channel": ("--channel", "rayleigh", []),
+    "alpha1": ("--alpha1", 0.3, []),
+    "P": ("--power", 2.0, []),
+    "d1": ("--d1", 2.0, []),
+    "d2": ("--d2", 3.0, []),
+    "xi": ("--xi", 3.0, []),
+    "crc.koopman_hex": ("--crc-koopman", "0xc07", []),
+    "crc.k": ("--crc-k", 118, ["--crc-n", "130"]),
+    "crc.n": ("--crc-n", 130, ["--crc-k", "118"]),
+    "grand.max_weight": ("--grand-max-weight", 3, []),
+    "orb.query_budget": ("--orb-query-budget", 5000, []),
+    "orb.max_logistic_weight": ("--orb-max-lw", 9, []),
+    "min_block_errors": ("--min-block-errors", 7, []),
+    "max_blocks": ("--max-blocks", 640, []),
+    "trials_per_batch": ("--trials-per-batch", 32, []),
+    "seed": ("--seed", 7, []),
+    "workers": ("--workers", 2, []),
+}
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in CONFIG_KEYS if key != "ebn0_db_list"])
+def test_a_flag_and_a_file_entry_give_the_same_config(tmp_path, key):
+    flag, value, extra = NON_DEFAULT[key]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    parser = build_parser()
+    from_flag, _ = _build_config(parser.parse_args(["sweep-snr", flag, str(value), *extra]))
+    from_file, _ = _build_config(parser.parse_args(["sweep-snr", "--config", str(cfg_path), *extra]))
+    assert from_flag == from_file != ScenarioConfig()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+@pytest.mark.parametrize("command,axis", [("sweep-power", "--alpha1-list"), ("sweep-distance", "--d1-list")])
+def test_single_point_sweeps_reject_an_ebn0_list(tmp_path, capsys, command, axis, via_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ebn0_db_list": [8, 30]}))
+    ebn0 = ["--config", str(cfg_path)] if via_file else ["--ebn0", "8,30"]
+    args = [command, axis, "0.2", *ebn0, "--min-block-errors", "2", "--max-blocks", "32", "--quiet"]
+    assert run_cli(args) == 1
+    assert "ebn0_db_list" in capsys.readouterr().err
 
 
 def test_bad_flag_value_fails(capsys):
