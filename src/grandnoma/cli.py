@@ -143,12 +143,12 @@ def _progress(args: argparse.Namespace, message: str) -> None:
 
 def _run_simulation_sweep(args: argparse.Namespace) -> int:
     cfg, ebn0_list = _build_config(args)
+    if not ebn0_list:
+        raise ConfigError(f"ebn0_db_list: {args.command} requires --ebn0")
     if args.command != "sweep-snr" and len(ebn0_list) > 1:
         raise ConfigError(f"ebn0_db_list: {args.command} takes a single Eb/N0 point, got {ebn0_list}")
     if args.command == "sweep-snr":
         axis, values = "ebn0", ebn0_list
-        if not values:
-            raise ConfigError("ebn0_db_list: sweep-snr requires --ebn0")
     elif args.command == "sweep-power":
         axis, values = "alpha1", args.alpha1_list
     else:

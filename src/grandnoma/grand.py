@@ -11,9 +11,13 @@ pattern streams it is the reference.  For CRC codebooks, `hard_grand_decode`
 and `orbgrand_decode` rely on neither order depending on the received word:
 each order is generated once per process into a cached column-major index
 array, grown only as far as the longest search so far has needed, and a
-codebook query is an XOR of per-position syndromes.  ORBGRAND scans the
-cached columns in growing chunks, each one gather and one XOR-reduce.  Hard
-GRAND's syndromes do not depend on the word either, so it looks the word's
+codebook query is an XOR of per-position syndromes.  ORBGRAND builds its
+order one logistic-weight class at a time, recording for each query its
+parent: the same ranks without the largest, an earlier query.  It scans
+the cached columns in growing chunks: the first with one gather and one
+XOR-reduce, and each later one, whose parents all lie before it, as its
+parents' syndromes XOR those of their largest ranks.  Hard GRAND's
+syndromes do not depend on the word either, so it looks the word's
 syndrome up in a table of first query indices filled from the same columns.
 """
 
@@ -43,6 +47,7 @@ __all__ = [
 _FILL_ITEMS = 1024  # most stream items turned into cached queries per step
 _FIRST_CHUNK = 128  # queries per syndrome block at the start of a search ...
 _MAX_CHUNK = 4096  # ... doubling up to this
+_DENSE = 1 + 3 * _FIRST_CHUNK  # queries 1..385: an ORBGRAND search's first two chunks
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,11 @@ def hard_pattern_stream(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
 
 def rank_by_reliability(llrs: np.ndarray) -> ReliabilityRanking:
     """Rank bit positions by |LLR| ascending; ties go to the lower position."""
-    llrs = np.asarray(llrs, dtype=float)
-    if np.isnan(llrs).any():
+    magnitudes = np.abs(np.asarray(llrs, dtype=float))
+    order = magnitudes.argsort(kind="stable")
+    if order.size and math.isnan(magnitudes[order[-1]]):  # NaN sorts last
         raise ValueError("llrs contain NaN")
-    return ReliabilityRanking(order=np.argsort(np.abs(llrs), kind="stable"))
+    return ReliabilityRanking(order=order)
 
 
 def _distinct_partitions(total: int, k: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -175,64 +181,40 @@ def grand_decode(
 
 
 class _GuessOrder:
-    """One guess order, generated lazily into a column-major index array.
+    """One guess order, cached in a column-major index array grown on demand.
 
     Query q is column q - 1 - `base` of `cols`, whose rows are flip slots:
     the 1-based indices it flips (ranks for ORBGRAND, positions + 1 for
     hard GRAND), padded with 0, so that with `synd[0] = 0` and `synd[i]`
     the syndrome of index i, the syndrome of a query is the XOR of `synd`
-    over its column.  Query 1 is the empty guess.  Query weights (logistic
-    weight, or Hamming weight for hard GRAND) never decrease, so a weight
-    cap is a prefix of the order.
+    over its column (`_OrbOrder` keeps whole columns for its first queries
+    only).  Query 1 is the empty guess.  Query weights (logistic weight, or
+    Hamming weight for hard GRAND) never decrease, so a weight cap is a
+    prefix of the order.  A subclass's `fill(upto)` generates queries until
+    `upto` are filled or the order runs out.
     """
 
-    def __init__(self, stream: Iterator[tuple[int, ...]], n: int, logistic: bool):
-        self._stream = stream
-        self._logistic = logistic
+    def __init__(self, n: int):
         self.cols = np.zeros((1, 0), dtype=np.min_scalar_type(n))  # slot 0 exists even before a flip is filled
         self.base = 0  # queries 1..base have been released
         self.filled = 0
         self.exhausted = False
-        self._weight_end: list[int] = []  # [w]: queries of weight <= w, once a heavier one is filled
+        self._weight_end: list[int] = []  # [w]: queries of weight <= w, once no more of weight w can come
         self._size_start = [0]  # [k]: first query (0-based) that flips k or more indices
 
-    def fill(self, upto: int) -> None:
-        """Generate queries until `upto` are filled or the order runs out."""
-        while self.filled < upto and not self.exhausted:
-            wanted = min(upto - self.filled, _FILL_ITEMS)
-            items = list(itertools.islice(self._stream, wanted))
-            self.exhausted = len(items) < wanted
-            if items:
-                self._append(items)
-
-    def _append(self, items: list[tuple[int, ...]]) -> None:
-        lo, hi = self.filled - self.base, self.filled - self.base + len(items)
-        sizes = np.fromiter(map(len, items), np.intp, len(items))
-        flat = np.fromiter(itertools.chain.from_iterable(items), np.intp, int(sizes.sum()))
-        width, capacity = self.cols.shape
+    def _reserve(self, hi: int, width: int) -> None:
+        """Room for `width` slots and for columns up to `hi` - base, growing
+        the columns by a quarter at least."""
+        rows, capacity = self.cols.shape
         more_cols = max(hi, capacity * 5 // 4) - capacity if hi > capacity else 0
-        more_slots = max(0, int(sizes.max()) - width)
-        if more_cols or more_slots:
-            self.cols = np.pad(self.cols, ((0, more_slots), (0, more_cols)))
-        query = np.repeat(np.arange(lo, hi), sizes)
-        slot = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.cols[slot, query] = flat if self._logistic else flat + 1
-        weights = self.cols[:, lo:hi].sum(axis=0, dtype=np.intp) if self._logistic else sizes
-        start = self.filled
-        known = len(self._weight_end)
-        ends = start + np.searchsorted(weights, np.arange(known, int(weights[-1])), side="right")
-        self._weight_end.extend(ends.tolist())
-        for k in range(len(self._size_start), int(sizes.max()) + 1):
-            self._size_start.append(start + int(np.argmax(sizes >= k)))
-        self.filled += len(items)
+        if more_cols or width > rows:
+            self.cols = np.pad(self.cols, ((0, max(0, width - rows)), (0, more_cols)))
 
-    def release(self, upto: int) -> None:
-        """Drop queries 1..upto from the array; their weights stay known.  Freed
-        columns keep stale slots: only hard orders are released, and as their
-        flip counts never decrease, the next `_append` overwrites them all."""
-        kept = self.filled - upto
-        self.cols[:, :kept] = self.cols[:, upto - self.base : self.filled - self.base]
-        self.base = upto
+    def _note_sizes(self, sizes: np.ndarray) -> None:
+        """Record the first query of each new flip count among the queries
+        about to be filled, with `sizes` their flip counts."""
+        for k in range(len(self._size_start), int(sizes.max()) + 1):
+            self._size_start.append(self.filled + int(np.argmax(sizes >= k)))
 
     def stop(self, cap: int | None, budget: int | None) -> int | None:
         """Queries that the weight cap and the budget allow, or None while not yet known."""
@@ -272,6 +254,145 @@ class _GuessOrder:
         return tuple(sorted(positions[col[col > 0] - 1].tolist()))
 
 
+class _HardOrder(_GuessOrder):
+    """The hard-GRAND order of n positions, filled from `hard_pattern_stream`."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._stream = hard_pattern_stream(n, n)
+
+    def fill(self, upto: int) -> None:
+        while self.filled < upto and not self.exhausted:
+            wanted = min(upto - self.filled, _FILL_ITEMS)
+            items = list(itertools.islice(self._stream, wanted))
+            self.exhausted = len(items) < wanted
+            if items:
+                self._append(items)
+
+    def _append(self, items: list[tuple[int, ...]]) -> None:
+        lo, hi = self.filled - self.base, self.filled - self.base + len(items)
+        sizes = np.fromiter(map(len, items), np.intp, len(items))
+        flat = np.fromiter(itertools.chain.from_iterable(items), np.intp, int(sizes.sum()))
+        self._reserve(hi, int(sizes.max()))
+        query = np.repeat(np.arange(lo, hi), sizes)
+        slot = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.cols[slot, query] = flat + 1
+        known = len(self._weight_end)
+        ends = self.filled + np.searchsorted(sizes, np.arange(known, int(sizes[-1])), side="right")
+        self._weight_end.extend(ends.tolist())
+        self._note_sizes(sizes)
+        self.filled += len(items)
+
+    def release(self, upto: int) -> None:
+        """Drop queries 1..upto from the array; their weights stay known.  Freed
+        columns keep stale slots: as flip counts never decrease along the
+        order, the next `_append` overwrites them all."""
+        kept = self.filled - upto
+        self.cols[:, :kept] = self.cols[:, upto - self.base : self.filled - self.base]
+        self.base = upto
+
+
+class _OrbOrder(_GuessOrder):
+    """The ORBGRAND order of the rank sets of 1..n with at most
+    `max_hamming_weight` ranks, built one logistic-weight class at a time
+    and never released.
+
+    A query's parent flips the same ranks but the largest, m; it has a
+    smaller logistic weight, so it comes earlier.  Each query keeps m in
+    `last` and its parent's column in `parent`: its syndrome is its
+    parent's XOR `synd[m]`, and `ranks` rebuilds its other ranks by walking
+    parents.  Whole columns, largest rank first, stay in `cols` only for
+    the classes that start among the first `_DENSE` queries, which a
+    search's first two chunks scan directly.  Class L is every member of
+    class L - m whose ranks are all below m, extended by m, over all m,
+    sorted by flip count and then by rank tuple, the order of
+    `_orb_rank_sets`.  The empty guess has `last` 0 and is its own parent.
+    """
+
+    def __init__(self, n: int, max_hamming_weight: int):
+        super().__init__(n)
+        self._n, self._cap = n, max_hamming_weight
+        self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
+        self.last = np.zeros(1, self.cols.dtype)
+        self.parent = np.zeros(1, np.int32)
+        self._reserve(1, 1)  # the empty guess's column, all slots 0
+        self.filled = self._dense = 1  # queries filled, and those with whole columns
+        self._weight_end = [1]
+        self._reach = [0]  # [w]: the largest parent of any query of weight <= w
+        self.exhausted = self._last_weight == 0
+
+    def fill(self, upto: int) -> None:
+        while self.filled < upto and not self.exhausted:
+            self._add_class(len(self._weight_end))
+
+    def ranks(self, columns: np.ndarray, width: int) -> np.ndarray:
+        """The `width` largest ranks of each of `columns`, largest first and 0
+        past its smallest, as rows."""
+        rows = np.empty((width, len(columns)), self.last.dtype)
+        for row in rows:
+            self.last.take(columns, out=row)
+            columns = self.parent.take(columns)
+        return rows
+
+    def _add_class(self, weight: int) -> None:
+        ends, sources = self._weight_end, []
+        for m in range(1, min(self._n, weight) + 1):
+            lo, hi = ends[weight - m - 1] if weight > m else 0, ends[weight - m]
+            sources.append(lo + np.flatnonzero(self.last[lo:hi] < m))
+        parent = np.concatenate(sources)
+        width = min(self._cap, (math.isqrt(8 * weight + 1) - 1) // 2)  # most ranks summing to `weight`
+        block = np.empty((width + 1, len(parent)), self.last.dtype)
+        block[0] = np.repeat(np.arange(1, len(sources) + 1), [len(s) for s in sources])
+        block[1:] = self.ranks(parent, width)
+        fits = block[width] == 0  # the parent leaves room for m under the Hamming cap
+        block, parent = block[:width, fits], parent[fits]
+        sizes = np.count_nonzero(block, axis=0)
+        # by flip count, then by the rows from the last up: as rows past a
+        # column's flip count are 0, that is its smallest rank, ..., its largest
+        pick = np.lexsort((*block, sizes))
+        lo, hi = self.filled, self.filled + len(pick)
+        if hi > len(self.last):
+            more = max(hi, len(self.last) * 5 // 4) - len(self.last)
+            self.last, self.parent = np.pad(self.last, (0, more)), np.pad(self.parent, (0, more))
+        self.last[lo:hi] = block[0, pick]
+        self.parent[lo:hi] = parent[pick]
+        if lo < _DENSE:
+            self._reserve(hi, width)
+            self.cols[:width, lo:hi] = block[:, pick]
+            self._dense = hi
+        self._note_sizes(sizes[pick])
+        self._reach.append(max(self._reach[-1], int(parent.max())))
+        self._weight_end.append(hi)
+        self.filled = hi
+        self.exhausted = weight == self._last_weight
+
+    def syndromes(self, synd: np.ndarray, a: int, b: int) -> np.ndarray:
+        if b <= self._dense:
+            return super().syndromes(synd, a, b)
+        width = bisect.bisect_left(self._size_start, b) - 1
+        return np.bitwise_xor.reduce(synd.take(self.ranks(np.arange(a, b), width)), axis=0)
+
+    def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
+        col, flipped = query - 1, []
+        while self.last[col]:
+            flipped.append(int(positions[self.last[col] - 1]))
+            col = self.parent[col]
+        return tuple(sorted(flipped))
+
+    def chained(self, a: int, b: int) -> bool:
+        """Whether every parent of the classes that queries a+1..b reach is
+        among queries 1..a."""
+        return self._reach[bisect.bisect_right(self._weight_end, b - 1)] < a
+
+    def syndromes_from(self, found: np.ndarray, synd: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Syndromes of queries a+1..b, given those of queries 1..a by column
+        in `found`: one gather of the parents' syndromes and one of the
+        largest ranks', XORed, or `syndromes` when a parent is not found."""
+        if not self.chained(a, b):
+            return self.syndromes(synd, a, b)
+        return found.take(self.parent[a:b]) ^ synd.take(self.last[a:b])
+
+
 class _SyndromeLeaders:
     """The first pattern of each syndrome along the hard order of one code,
     with its query index, filled as far as the searches so far have needed.
@@ -282,7 +403,7 @@ class _SyndromeLeaders:
 
     def __init__(self, code: CrcCode):
         n = code.spec.codeword_len
-        self.order = _GuessOrder(hard_pattern_stream(n, n), n, logistic=False)
+        self.order = _HardOrder(n)
         self.synd = np.zeros(n + 1, code.position_syndrome_array.dtype)
         self.synd[1:] = code.position_syndrome_array
         self.rows = np.zeros((0, 1), self.order.cols.dtype)
@@ -327,7 +448,7 @@ class _SyndromeLeaders:
 
 
 # the per-process cache: ORBGRAND rank-set orders by (n, Hamming cap), hard-GRAND leaders by code
-_ORB_ORDERS: dict[tuple[int, int], _GuessOrder] = {}
+_ORB_ORDERS: dict[tuple[int, int], _OrbOrder] = {}
 _LEADERS: dict[CrcSpec, _SyndromeLeaders] = {}
 
 
@@ -395,18 +516,26 @@ def orbgrand_decode(
     key = (n, n if max_hamming_weight is None else min(n, max_hamming_weight))
     order = _ORB_ORDERS.get(key)
     if order is None:
-        stream = _orb_rank_sets(n, n * (n + 1) // 2, key[1])
-        order = _ORB_ORDERS[key] = _GuessOrder(stream, n, logistic=True)
+        order = _ORB_ORDERS[key] = _OrbOrder(*key)
     table = code.position_syndrome_array
     synd = np.zeros(n + 1, table.dtype)
     synd[1:] = table[ranking.order]
-    queries = 1
+    queries, found = 1, None  # found: the syndromes of queries 1..a by column, once a chunk missed
     for a, b in order.chunks(1, max_logistic_weight, query_budget):
-        hits = order.syndromes(synd, a, b) == target
+        if found is None:
+            syndromes = order.syndromes(synd, a, b)
+        else:
+            syndromes = order.syndromes_from(found, synd, a, b)
+        hits = syndromes == target
         first = int(hits.argmax())
         if hits[first]:
             query = a + first + 1
             pattern = order.pattern(query, ranking.order)
             return DecodeResult(_apply_pattern(word, pattern), pattern, query, False)
+        if found is None or len(found) < b:  # room for the queries cached so far, or twice b
+            grown = np.empty(max(2 * b, order.filled), synd.dtype)
+            grown[:a] = 0 if found is None else found[:a]  # column 0, the empty guess, has syndrome 0
+            found = grown
+        found[a:b] = syndromes
         queries = b
     return DecodeResult(word.copy(), (), queries, True)

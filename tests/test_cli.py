@@ -183,6 +183,17 @@ def test_single_point_sweeps_reject_an_ebn0_list(tmp_path, capsys, command, axis
     assert "ebn0_db_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via_file", [False, True])
+@pytest.mark.parametrize("command,axis", [("sweep-power", "--alpha1-list"), ("sweep-distance", "--d1-list")])
+def test_single_point_sweeps_require_an_ebn0_point(tmp_path, capsys, command, axis, via_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"min_block_errors": 2}))  # a config file with no ebn0_db_list
+    config = ["--config", str(cfg_path)] if via_file else []
+    args = [command, axis, "0.2", *config, "--min-block-errors", "2", "--max-blocks", "32", "--quiet"]
+    assert run_cli(args) == 1
+    assert "ebn0_db_list" in capsys.readouterr().err
+
+
 def test_bad_flag_value_fails(capsys):
     assert run_cli(["sweep-snr", "--ebn0", "4", "--alpha1", "1.4", "--quiet"]) == 1
     assert "alpha1" in capsys.readouterr().err

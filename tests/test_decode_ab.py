@@ -27,6 +27,14 @@ def test_first_mismatch_finds_any_differing_field():
         assert decode_ab.first_mismatch([want, got], captured) == 1
 
 
+def test_calls_are_bucketed_by_the_query_count_of_the_captured_result():
+    word = np.zeros(8, np.uint8)
+    counts = [1, 2, 129, 130, 5_000, 1, 129]
+    captured = [("orbgrand_decode", (), {}, DecodeResult(word, (), q, False)) for q in counts]
+    assert decode_ab.bucket_calls(captured) == {"1": [0, 5], "2-129": [1, 2, 6], "130+": [3, 4]}
+    assert decode_ab.bucket_calls(captured[:1]) == {"1": [0]}
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export the parent")
 def test_replay_against_head_gives_the_captured_results():
     done = subprocess.run(

@@ -454,7 +454,11 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     """For every query of every chunk, `_GuessOrder.syndromes` equals the XOR
     of the per-index syndromes over the indices `pattern` reports, in the
     ORBGRAND order, in the hard order, and in the hard order after each
-    chunk is released; n = 300 takes the wider index dtype."""
+    chunk is released; n = 300 takes the wider index dtype.  In the ORBGRAND
+    order, chunks start after the empty guess as in a search, and
+    `syndromes_from`, given the syndromes of every query before the chunk,
+    equals the same XOR in every chunk: chained from the parents' syndromes
+    where `chained` holds, and direct in the first chunk, where it does not."""
     from grandnoma import grand
 
     rng = np.random.default_rng(36)
@@ -463,22 +467,102 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     indices = np.arange(n)  # pattern(q, indices) reports 1-based index i as i - 1
     budget = _chunk_ends(0)[-1] if n == 128 else 3_000
     orders = [
-        (grand._GuessOrder(grand._orb_rank_sets(n, n * (n + 1) // 2, n), n, logistic=True), False),
-        (grand._GuessOrder(hard_pattern_stream(n, n), n, logistic=False), False),
-        (grand._GuessOrder(hard_pattern_stream(n, n), n, logistic=False), True),
+        (grand._OrbOrder(n, n), False),
+        (grand._HardOrder(n), False),
+        (grand._HardOrder(n), True),
     ]
     for order, release in orders:
-        widened = checked = 0
-        for a, b in order.chunks(0, None, budget):
+        logistic = isinstance(order, grand._OrbOrder)
+        found = np.zeros(1, np.uint16)  # the empty guess
+        widened = checked = chained = 0
+        for a, b in order.chunks(1 if logistic else 0, None, budget):
             patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
             want = [_xor_over(table, p) for p in patterns]
             assert order.syndromes(synd, a, b).tolist() == want
+            if logistic:
+                assert order.syndromes_from(found, synd, a, b).tolist() == want
+                assert a > 1 or not order.chained(a, b)
+                chained += order.chained(a, b)
+                found = np.concatenate([found, np.array(want, np.uint16)])
             widened += len(patterns[0]) < len(patterns[-1])
             checked = b
             if release:
                 order.release(b)
         assert checked == budget
         assert widened  # some chunk's width grew mid-chunk
+        assert chained >= 3 or not logistic
+        if logistic:  # ranges off the chunk schedule; (2, 130] holds parents of its own
+            assert not order.chained(2, 130)
+            for a in (2, 64, 200):
+                assert order.syndromes_from(found[:a], synd, a, a + 128).tolist() == found[a : a + 128].tolist()
+
+
+@pytest.mark.parametrize("n,cap,count", [
+    (128, 128, 6_000), (128, 3, 6_000), (128, 4, 6_000), (300, 300, 4_000), (300, 3, 4_000),
+    (7, 7, 200), (7, 3, 200), (7, 0, 10),
+])
+def test_orb_order_is_the_rank_set_stream_with_a_parent_per_query(n, cap, count):
+    """Built one logistic-weight class at a time, the cached ORBGRAND order
+    equals `_orb_rank_sets` row for row, past many class boundaries (for
+    n = 7, to its end), and every query but the empty guess has an earlier
+    parent that flips the same ranks but its largest, which row 0 holds."""
+    from grandnoma import grand
+
+    order = grand._OrbOrder(n, cap)
+    order.fill(count)
+    want = list(itertools.islice(grand._orb_rank_sets(n, n * (n + 1) // 2, cap), order.filled + 1))
+    ranks = np.arange(1, n + 1)  # pattern(q, ranks) reports the ranks themselves
+    got = [order.pattern(q, ranks) for q in range(1, order.filled + 1)]
+    assert got == want[: order.filled]
+    assert order.exhausted == (len(want) == order.filled)
+    assert order.exhausted or len(order._weight_end) > 30
+    for col in range(1, order.filled):
+        parent, last = int(order.parent[col]), int(order.last[col])
+        assert parent < col
+        assert got[parent] + (last,) == got[col]
+
+
+def test_chained_searches_decode_like_the_reference():
+    """Searches past the first chunk, whose syndromes chain from their
+    parents', decode exactly like the reference.  On CRC-12 the first match
+    lies around budgets 129, 130, 385 and 386, around the end of logistic
+    weight 23 (query 640, inside the third chunk) and under a Hamming cap of
+    3; on CRC-8 it lies past the second chunk, with budgets just before and
+    at it; on CRC-32 nothing matches, and each search is abandoned at a
+    budget inside the chunk (3969, 8065].  TOY3's whole order fits in the
+    first chunk."""
+    caps = [dict(query_budget=budget) for budget in (129, 130, 385, 386)]
+    caps += [dict(query_budget=None, max_logistic_weight=23), dict(query_budget=2_000, max_hamming_weight=3)]
+    results = []
+    for spec, near in ((CRC12, (129, 130, 385, 386, 640)), (CrcSpec(0xA6, 57, 65), None), (TOY3, None)):
+        code, n = get_code(spec), spec.codeword_len
+        llrs = np.arange(1.0, n + 1)  # rank r is position r - 1
+        patterns = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), 1_000))
+        first = _first_syndrome_queries(patterns, code.position_syndrome_array)
+        if near is not None:
+            queries = [q for q in first if any(abs(q - bound) <= 2 for bound in near)]
+        else:
+            queries = [q for q in first if q > 385][:8] or first
+        for query in queries:
+            word = np.zeros(n, dtype=np.uint8)
+            word[list(patterns[query - 1])] = 1
+            deep = [dict(query_budget=query - 1), dict(query_budget=query)] if query > 1 else []
+            for cap in caps + deep:
+                fast = orbgrand_decode(word, llrs, code, **cap)
+                _assert_same(fast, _orb_reference(word, llrs, code, **cap))
+                results.append(fast)
+    rng = np.random.default_rng(37)
+    code = get_code(CrcSpec(0x82608EDB, 96, 128))
+    for budget in (4_500, 6_001):
+        word = rng.integers(0, 2, 128).astype(np.uint8)
+        llrs = rng.normal(size=128)
+        for cap in (dict(), dict(max_hamming_weight=3)):
+            fast = orbgrand_decode(word, llrs, code, query_budget=budget, **cap)
+            _assert_same(fast, _orb_reference(word, llrs, code, query_budget=budget, **cap))
+            assert fast.abandoned and fast.queries == budget
+    found = [r.queries for r in results if not r.abandoned]
+    assert max(found) > 640 and {129, 130, 385, 386} & set(found)
+    assert {130, 386, 640} <= {r.queries for r in results if r.abandoned}
 
 
 def test_first_hard_search_with_budget_one_decodes_like_the_reference(monkeypatch):

@@ -8,17 +8,20 @@ under perfbench's span tracer with every decoder call captured
 `git archive` and imported under another package name; the package uses only
 relative imports, so both versions live side by side.  Both sides first
 replay every captured call once, untimed, so that their guess-order caches
-hold the same.  Then, in each round, the calls are replayed in slices of
-256 calls that alternate between the sides, the side that goes first
-alternating from slice to slice, and each slice is timed with
-`time.thread_time()`.  Host speed drifts act on both sides alike, so the
-ratio holds where paired end-to-end runs cannot resolve a decoder change.
+hold the same.  The calls are grouped into buckets by the query count of
+their captured result: `1`, `2-129` and `130+` (a codeword, a match in the
+first ORBGRAND chunk, a deeper search).  Then, in each round, each
+bucket's calls are replayed in slices of 256 calls that alternate between
+the sides, the side that goes first alternating from slice to slice, and
+each slice is timed with `time.thread_time()`.  Host speed drifts act on
+both sides alike, so the ratio holds where paired end-to-end runs cannot
+resolve a decoder change.
 
-Each round prints both sides' CPU seconds and the ratio parent / change
-(above 1: the change is faster); the summary gives the median ratio and its
-range over the rounds.  Every result (codeword, pattern, query count,
-abandon flag) of either side must equal the captured one, or the script
-exits with status 1.
+Each round prints both sides' CPU seconds, the ratio parent / change
+(above 1: the change is faster) and each bucket's ratio, which shows where
+a saving lands; the summary gives the median ratios and their ranges over
+the rounds.  Every result (codeword, pattern, query count, abandon flag) of
+either side must equal the captured one, or the script exits with status 1.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PARENT_PACKAGE = "grandnoma_parent"
 SLICE = 256  # calls per timed slice
+BUCKETS = (("1", 1), ("2-129", 2), ("130+", 130))  # (name, fewest queries)
 
 
 def load_package(package_dir: Path, name: str):
@@ -77,6 +81,16 @@ def replay(calls) -> tuple[float, list]:
     started = time.thread_time()
     results = [fn(*args, **kwargs) for fn, args, kwargs in calls]
     return time.thread_time() - started, results
+
+
+def bucket_calls(captured) -> dict[str, list[int]]:
+    """Indices of the captured calls in each bucket of `BUCKETS`, by the query
+    count of the captured result; empty buckets are left out."""
+    groups: dict[str, list[int]] = {}
+    for i, (_, _, _, result) in enumerate(captured):
+        name = next(name for name, fewest in reversed(BUCKETS) if result.queries >= fewest)
+        groups.setdefault(name, []).append(i)
+    return {name: groups[name] for name, _ in BUCKETS if name in groups}
 
 
 def first_mismatch(results, captured) -> int | None:
@@ -122,35 +136,44 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side}: call {bad} ({captured[bad][0]}) differs from the captured result")
             return 1
 
-    slices = range(0, len(captured), SLICE)
-    ratios = []
+    groups = bucket_calls(captured)
+    ratios: dict[str, list[float]] = {name: [] for name in ["total", *groups]}
     gc.disable()
     try:
         for r in range(args.rounds):
             gc.collect()
-            cpu = {"parent": 0.0, "change": 0.0}
-            results = {"parent": [], "change": []}
-            for i, lo in enumerate(slices):
-                order = ("parent", "change") if (r + i) % 2 == 0 else ("change", "parent")
-                for side in order:
-                    seconds, got = replay(sides[side][lo: lo + SLICE])
-                    cpu[side] += seconds
-                    results[side].extend(got)
+            cpu = {name: {"parent": 0.0, "change": 0.0} for name in ratios}
+            results = {"parent": [None] * len(captured), "change": [None] * len(captured)}
+            for name, indices in groups.items():
+                for i, lo in enumerate(range(0, len(indices), SLICE)):
+                    picked = indices[lo: lo + SLICE]
+                    order = ("parent", "change") if (r + i) % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        seconds, got = replay([sides[side][j] for j in picked])
+                        cpu[name][side] += seconds
+                        cpu["total"][side] += seconds
+                        for j, result in zip(picked, got):
+                            results[side][j] = result
             for side, got in results.items():
                 bad = first_mismatch(got, captured)
                 if bad is not None:
                     print(f"round {r + 1} {side}: call {bad} ({captured[bad][0]}) differs from the captured result")
                     return 1
-            ratios.append(cpu["parent"] / cpu["change"])
-            print(f"round {r + 1}: parent {cpu['parent']:.4f} s, change {cpu['change']:.4f} s, "
-                  f"ratio {ratios[-1]:.3f}", flush=True)
+            for name, seconds in cpu.items():
+                ratios[name].append(seconds["parent"] / seconds["change"])
+            buckets = ", ".join(f"{name} {ratios[name][-1]:.3f}" for name in groups)
+            print(f"round {r + 1}: parent {cpu['total']['parent']:.4f} s, change {cpu['total']['change']:.4f} s, "
+                  f"ratio {ratios['total'][-1]:.3f} (by queries: {buckets})", flush=True)
     finally:
         gc.enable()
 
-    median = statistics.median(ratios)
-    print(f"{args.workload} decoder CPU parent / change: median {median:.3f} "
-          f"(range {min(ratios):.3f}-{max(ratios):.3f}) over {len(ratios)} rounds of "
+    total = ratios["total"]
+    print(f"{args.workload} decoder CPU parent / change: median {statistics.median(total):.3f} "
+          f"(range {min(total):.3f}-{max(total):.3f}) over {len(total)} rounds of "
           f"{len(captured)} calls; every result equals the captured one")
+    for name, indices in groups.items():
+        print(f"  queries {name}: {len(indices)} calls, median {statistics.median(ratios[name]):.3f} "
+              f"(range {min(ratios[name]):.3f}-{max(ratios[name]):.3f})")
     return 0
 
 
