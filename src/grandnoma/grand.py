@@ -9,16 +9,18 @@ reliability ranks of its flipped bits, rank 1 = least reliable).
 The generic `grand_decode` works against any membership predicate; with the
 pattern streams it is the reference.  For CRC codebooks, `hard_grand_decode`
 and `orbgrand_decode` rely on neither order depending on the received word:
-each order is generated once per process into a cached column-major index
-array, grown only as far as the longest search so far has needed, and a
-codebook query is an XOR of per-position syndromes.  ORBGRAND builds its
-order one logistic-weight class at a time, recording for each query its
-parent: the same ranks without the largest, an earlier query.  It scans
-the cached columns in growing chunks: the first with one gather and one
-XOR-reduce, and each later one, whose parents all lie before it, as its
-parents' syndromes XOR those of their largest ranks.  Hard GRAND's
-syndromes do not depend on the word either, so it looks the word's
-syndrome up in a table of first query indices filled from the same columns.
+each order is generated once per process into a cache, grown only as far
+as the longest search so far has needed, and a codebook query is an XOR of
+per-position syndromes.  ORBGRAND builds its order one logistic-weight
+class at a time and caches, for each query, its largest rank and its
+parent, the earlier query that flips the same ranks but that one.  It
+scans the order in growing chunks: the first with one gather and one
+XOR-reduce over whole columns, cached for the first queries only, and each
+later one, whose parents all lie before it, as its parents' syndromes XOR
+those of their largest ranks.  The hard order is cached as a column-major
+index array.  Hard GRAND's syndromes do not depend on the word either, so
+it looks the word's syndrome up in a table of first query indices filled
+from those columns.
 """
 
 from __future__ import annotations
@@ -248,11 +250,6 @@ class _GuessOrder:
         block = self.cols[:width, a - self.base : b - self.base]
         return np.bitwise_xor.reduce(synd.take(block), axis=0)
 
-    def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
-        """Bit positions flipped by `query`; index i is position positions[i-1]."""
-        col = self.cols[:, query - 1 - self.base]
-        return tuple(sorted(positions[col[col > 0] - 1].tolist()))
-
 
 class _HardOrder(_GuessOrder):
     """The hard-GRAND order of n positions, filled from `hard_pattern_stream`."""
@@ -373,6 +370,7 @@ class _OrbOrder(_GuessOrder):
         return np.bitwise_xor.reduce(synd.take(self.ranks(np.arange(a, b), width)), axis=0)
 
     def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
+        """Bit positions flipped by `query`; rank r is position positions[r-1]."""
         col, flipped = query - 1, []
         while self.last[col]:
             flipped.append(int(positions[self.last[col] - 1]))

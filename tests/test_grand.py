@@ -452,10 +452,11 @@ def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
 @pytest.mark.parametrize("n", [128, 300])
 def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     """For every query of every chunk, `_GuessOrder.syndromes` equals the XOR
-    of the per-index syndromes over the indices `pattern` reports, in the
-    ORBGRAND order, in the hard order, and in the hard order after each
-    chunk is released; n = 300 takes the wider index dtype.  In the ORBGRAND
-    order, chunks start after the empty guess as in a search, and
+    of the per-index syndromes over the indices the query flips: as
+    `pattern` reports them in the ORBGRAND order, and as
+    `hard_pattern_stream` gives them in the hard order, with and without
+    each chunk released; n = 300 takes the wider index dtype.  In the
+    ORBGRAND order, chunks start after the empty guess as in a search, and
     `syndromes_from`, given the syndromes of every query before the chunk,
     equals the same XOR in every chunk: chained from the parents' syndromes
     where `chained` holds, and direct in the first chunk, where it does not."""
@@ -473,10 +474,14 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     ]
     for order, release in orders:
         logistic = isinstance(order, grand._OrbOrder)
+        stream = hard_pattern_stream(n, n)
         found = np.zeros(1, np.uint16)  # the empty guess
         widened = checked = chained = 0
         for a, b in order.chunks(1 if logistic else 0, None, budget):
-            patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
+            if logistic:
+                patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
+            else:
+                patterns = list(itertools.islice(stream, b - a))
             want = [_xor_over(table, p) for p in patterns]
             assert order.syndromes(synd, a, b).tolist() == want
             if logistic:
