@@ -139,10 +139,9 @@ class ScenarioConfig:
             raise ConfigError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if not (math.isfinite(self.xi) and self.xi >= 0):
             raise ConfigError(f"xi must be finite and >= 0, got {self.xi}")
-        if self.power <= 0:
-            raise ConfigError(f"P must be positive, got {self.power}")
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise ConfigError(f"d1/d2 must be > 0, got {self.d1}, {self.d2}")
+        for key, value in (("P", self.power), ("d1", self.d1), ("d2", self.d2)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
         if self.grand_max_weight > self.crc.codeword_len:
             raise ConfigError(f"grand.max_weight out of range: {self.grand_max_weight}")
         if self.alpha1 >= 0.5:

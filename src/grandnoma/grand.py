@@ -9,18 +9,18 @@ reliability ranks of its flipped bits, rank 1 = least reliable).
 The generic `grand_decode` works against any membership predicate; with the
 pattern streams it is the reference.  For CRC codebooks, `hard_grand_decode`
 and `orbgrand_decode` rely on neither order depending on the received word:
-each order is generated once per process into a cache, grown only as far
-as the longest search so far has needed, and a codebook query is an XOR of
-per-position syndromes.  ORBGRAND builds its order one logistic-weight
-class at a time and caches, for each query, its largest rank and its
-parent, the earlier query that flips the same ranks but that one.  It
-scans the order in growing chunks: the first with one gather and one
-XOR-reduce over whole columns, cached for the first queries only, and each
-later one, whose parents all lie before it, as its parents' syndromes XOR
-those of their largest ranks.  The hard order is cached as a column-major
-index array.  Hard GRAND's syndromes do not depend on the word either, so
-it looks the word's syndrome up in a table of first query indices filled
-from those columns.
+a codebook query is an XOR of per-position syndromes, and what each decoder
+caches per process grows only as far as the longest search so far has
+needed.  ORBGRAND caches its order of rank sets, built one logistic-weight
+class at a time, with each query's largest rank and its parent, the
+earlier query that flips the same ranks but that one.  It scans the order
+in growing chunks: the first with one gather and one XOR-reduce over whole
+columns, cached for the first queries only, and each later one, whose
+parents all lie before it, as its parents' syndromes XOR those of their
+largest ranks.  Hard GRAND's syndromes do not depend on the word at all,
+so it caches no order: it keeps only the first pattern of each syndrome,
+found by scanning `itertools.combinations` one weight at a time, and looks
+the word's syndrome up there.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ __all__ = [
     "orbgrand_decode",
 ]
 
-_FILL_ITEMS = 1024  # most stream items turned into cached queries per step
-_FIRST_CHUNK = 128  # queries per syndrome block at the start of a search ...
+_FIRST_CHUNK = 128  # queries per syndrome chunk at the start of a search or a scan ...
 _MAX_CHUNK = 4096  # ... doubling up to this
 _DENSE = 1 + 3 * _FIRST_CHUNK  # queries 1..385: an ORBGRAND search's first two chunks
 
@@ -182,41 +181,42 @@ def grand_decode(
     return DecodeResult(word.copy(), (), queries, True)
 
 
-class _GuessOrder:
-    """One guess order, cached in a column-major index array grown on demand.
+class _OrbOrder:
+    """The ORBGRAND order of the rank sets of 1..n with at most
+    `max_hamming_weight` ranks, built one logistic-weight class at a time
+    as far as the longest search so far has needed.
 
-    Query q is column q - 1 - `base` of `cols`, whose rows are flip slots:
-    the 1-based indices it flips (ranks for ORBGRAND, positions + 1 for
-    hard GRAND), padded with 0, so that with `synd[0] = 0` and `synd[i]`
-    the syndrome of index i, the syndrome of a query is the XOR of `synd`
-    over its column (`_OrbOrder` keeps whole columns for its first queries
-    only).  Query 1 is the empty guess.  Query weights (logistic weight, or
-    Hamming weight for hard GRAND) never decrease, so a weight cap is a
-    prefix of the order.  A subclass's `fill(upto)` generates queries until
-    `upto` are filled or the order runs out.
+    Query 1 is the empty guess.  Logistic weights never decrease along the
+    order, so a weight cap is a prefix: `_weight_end[w]` counts the queries
+    of weight <= w.  A query's parent flips the same ranks but the largest,
+    m; it has a smaller logistic weight, so it comes earlier.  Each query
+    keeps m in `last` and its parent's column in `parent`: its syndrome is
+    its parent's XOR `synd[m]`, and `ranks` rebuilds its other ranks by
+    walking parents.  Whole columns stay in `cols` only for the classes
+    that start among the first `_DENSE` queries, which a search's first two
+    chunks scan directly: one row per flip slot and one column per query,
+    ranks largest first and padded with 0, so that with `synd[0] = 0` a
+    query's syndrome is the XOR of `synd` over its column.  Class L is
+    every member of class L - m whose ranks are all below m, extended by m,
+    over all m, sorted by flip count and then by rank tuple, the order of
+    `_orb_rank_sets`.  The empty guess has `last` 0 and is its own parent.
     """
 
-    def __init__(self, n: int):
-        self.cols = np.zeros((1, 0), dtype=np.min_scalar_type(n))  # slot 0 exists even before a flip is filled
-        self.base = 0  # queries 1..base have been released
-        self.filled = 0
-        self.exhausted = False
-        self._weight_end: list[int] = []  # [w]: queries of weight <= w, once no more of weight w can come
-        self._size_start = [0]  # [k]: first query (0-based) that flips k or more indices
+    def __init__(self, n: int, max_hamming_weight: int):
+        self._n, self._cap = n, max_hamming_weight
+        self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
+        self.cols = np.zeros((1, 1), np.min_scalar_type(n))  # the empty guess's column
+        self.last = np.zeros(1, self.cols.dtype)
+        self.parent = np.zeros(1, np.int32)
+        self.filled = self._dense = 1  # queries filled, and those with whole columns
+        self._weight_end = [1]
+        self._size_start = [0]  # [k]: first query (0-based) that flips k or more ranks
+        self._reach = [0]  # [w]: the largest parent of any query of weight <= w
+        self.exhausted = self._last_weight == 0
 
-    def _reserve(self, hi: int, width: int) -> None:
-        """Room for `width` slots and for columns up to `hi` - base, growing
-        the columns by a quarter at least."""
-        rows, capacity = self.cols.shape
-        more_cols = max(hi, capacity * 5 // 4) - capacity if hi > capacity else 0
-        if more_cols or width > rows:
-            self.cols = np.pad(self.cols, ((0, max(0, width - rows)), (0, more_cols)))
-
-    def _note_sizes(self, sizes: np.ndarray) -> None:
-        """Record the first query of each new flip count among the queries
-        about to be filled, with `sizes` their flip counts."""
-        for k in range(len(self._size_start), int(sizes.max()) + 1):
-            self._size_start.append(self.filled + int(np.argmax(sizes >= k)))
+    def fill(self, upto: int) -> None:
+        while self.filled < upto and not self.exhausted:
+            self._add_class(len(self._weight_end))
 
     def stop(self, cap: int | None, budget: int | None) -> int | None:
         """Queries that the weight cap and the budget allow, or None while not yet known."""
@@ -243,85 +243,6 @@ class _GuessOrder:
             yield a, b
             a, size = b, min(2 * size, _MAX_CHUNK)
 
-    def syndromes(self, synd: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Syndromes of queries a+1..b: one gather of the block's columns, as
-        wide as the most flips among them, and one XOR over its slots."""
-        width = bisect.bisect_left(self._size_start, b) - 1
-        block = self.cols[:width, a - self.base : b - self.base]
-        return np.bitwise_xor.reduce(synd.take(block), axis=0)
-
-
-class _HardOrder(_GuessOrder):
-    """The hard-GRAND order of n positions, filled from `hard_pattern_stream`."""
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._stream = hard_pattern_stream(n, n)
-
-    def fill(self, upto: int) -> None:
-        while self.filled < upto and not self.exhausted:
-            wanted = min(upto - self.filled, _FILL_ITEMS)
-            items = list(itertools.islice(self._stream, wanted))
-            self.exhausted = len(items) < wanted
-            if items:
-                self._append(items)
-
-    def _append(self, items: list[tuple[int, ...]]) -> None:
-        lo, hi = self.filled - self.base, self.filled - self.base + len(items)
-        sizes = np.fromiter(map(len, items), np.intp, len(items))
-        flat = np.fromiter(itertools.chain.from_iterable(items), np.intp, int(sizes.sum()))
-        self._reserve(hi, int(sizes.max()))
-        query = np.repeat(np.arange(lo, hi), sizes)
-        slot = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.cols[slot, query] = flat + 1
-        known = len(self._weight_end)
-        ends = self.filled + np.searchsorted(sizes, np.arange(known, int(sizes[-1])), side="right")
-        self._weight_end.extend(ends.tolist())
-        self._note_sizes(sizes)
-        self.filled += len(items)
-
-    def release(self, upto: int) -> None:
-        """Drop queries 1..upto from the array; their weights stay known.  Freed
-        columns keep stale slots: as flip counts never decrease along the
-        order, the next `_append` overwrites them all."""
-        kept = self.filled - upto
-        self.cols[:, :kept] = self.cols[:, upto - self.base : self.filled - self.base]
-        self.base = upto
-
-
-class _OrbOrder(_GuessOrder):
-    """The ORBGRAND order of the rank sets of 1..n with at most
-    `max_hamming_weight` ranks, built one logistic-weight class at a time
-    and never released.
-
-    A query's parent flips the same ranks but the largest, m; it has a
-    smaller logistic weight, so it comes earlier.  Each query keeps m in
-    `last` and its parent's column in `parent`: its syndrome is its
-    parent's XOR `synd[m]`, and `ranks` rebuilds its other ranks by walking
-    parents.  Whole columns, largest rank first, stay in `cols` only for
-    the classes that start among the first `_DENSE` queries, which a
-    search's first two chunks scan directly.  Class L is every member of
-    class L - m whose ranks are all below m, extended by m, over all m,
-    sorted by flip count and then by rank tuple, the order of
-    `_orb_rank_sets`.  The empty guess has `last` 0 and is its own parent.
-    """
-
-    def __init__(self, n: int, max_hamming_weight: int):
-        super().__init__(n)
-        self._n, self._cap = n, max_hamming_weight
-        self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
-        self.last = np.zeros(1, self.cols.dtype)
-        self.parent = np.zeros(1, np.int32)
-        self._reserve(1, 1)  # the empty guess's column, all slots 0
-        self.filled = self._dense = 1  # queries filled, and those with whole columns
-        self._weight_end = [1]
-        self._reach = [0]  # [w]: the largest parent of any query of weight <= w
-        self.exhausted = self._last_weight == 0
-
-    def fill(self, upto: int) -> None:
-        while self.filled < upto and not self.exhausted:
-            self._add_class(len(self._weight_end))
-
     def ranks(self, columns: np.ndarray, width: int) -> np.ndarray:
         """The `width` largest ranks of each of `columns`, largest first and 0
         past its smallest, as rows."""
@@ -347,27 +268,30 @@ class _OrbOrder(_GuessOrder):
         # by flip count, then by the rows from the last up: as rows past a
         # column's flip count are 0, that is its smallest rank, ..., its largest
         pick = np.lexsort((*block, sizes))
+        block, parent, sizes = block[:, pick], parent[pick], sizes[pick]
         lo, hi = self.filled, self.filled + len(pick)
         if hi > len(self.last):
             more = max(hi, len(self.last) * 5 // 4) - len(self.last)
             self.last, self.parent = np.pad(self.last, (0, more)), np.pad(self.parent, (0, more))
-        self.last[lo:hi] = block[0, pick]
-        self.parent[lo:hi] = parent[pick]
-        if lo < _DENSE:
-            self._reserve(hi, width)
-            self.cols[:width, lo:hi] = block[:, pick]
+        self.last[lo:hi] = block[0]
+        self.parent[lo:hi] = parent
+        if lo < _DENSE:  # widths never decrease from class to class
+            self.cols = np.hstack([np.pad(self.cols, ((0, width - len(self.cols)), (0, 0))), block])
             self._dense = hi
-        self._note_sizes(sizes[pick])
+        for k in range(len(self._size_start), int(sizes[-1]) + 1):
+            self._size_start.append(lo + int(np.argmax(sizes >= k)))
         self._reach.append(max(self._reach[-1], int(parent.max())))
         self._weight_end.append(hi)
         self.filled = hi
         self.exhausted = weight == self._last_weight
 
     def syndromes(self, synd: np.ndarray, a: int, b: int) -> np.ndarray:
-        if b <= self._dense:
-            return super().syndromes(synd, a, b)
+        """Syndromes of queries a+1..b: one gather of the block's columns, as
+        wide as the most flips among them (read from `cols` within the dense
+        prefix and rebuilt by `ranks` past it), and one XOR over its slots."""
         width = bisect.bisect_left(self._size_start, b) - 1
-        return np.bitwise_xor.reduce(synd.take(self.ranks(np.arange(a, b), width)), axis=0)
+        block = self.cols[:width, a:b] if b <= self._dense else self.ranks(np.arange(a, b), width)
+        return np.bitwise_xor.reduce(synd.take(block), axis=0)
 
     def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
         """Bit positions flipped by `query`; rank r is position positions[r-1]."""
@@ -393,19 +317,28 @@ class _OrbOrder(_GuessOrder):
 
 class _SyndromeLeaders:
     """The first pattern of each syndrome along the hard order of one code,
-    with its query index, filled as far as the searches so far have needed.
-    Scanned queries are released from the order; only the leaders stay, in
-    three arrays sorted by syndrome: the syndrome, its first query, and that
-    query's column of the order, as a row (positions + 1, zero-padded).
-    Lookups bisect memoryviews of the first two, which index to plain ints."""
+    with its query index, scanned as far as the searches so far have needed.
+
+    Only the leaders are kept, in three arrays sorted by syndrome: the
+    syndrome, its first query, and that query's positions + 1 as a
+    zero-padded row.  Lookups bisect memoryviews of the first two, which
+    index to plain ints.  The empty guess leads syndrome 0 at query 1.  The
+    scan reads the rest of the order straight from
+    `itertools.combinations`, one Hamming weight at a time, in chunks that
+    start at `_FIRST_CHUNK` queries, double up to `_MAX_CHUNK` and end at
+    each weight's end, `ends[w]`: the queries of weight <= w.
+    """
 
     def __init__(self, code: CrcCode):
         n = code.spec.codeword_len
-        self.order = _HardOrder(n)
         self.synd = np.zeros(n + 1, code.position_syndrome_array.dtype)
         self.synd[1:] = code.position_syndrome_array
-        self.rows = np.zeros((0, 1), self.order.cols.dtype)
-        self._pack(np.zeros(0, self.synd.dtype), np.zeros(0, np.int64))
+        self.ends = list(itertools.accumulate(math.comb(n, w) for w in range(n + 1)))
+        self.scanned, self._weight, self._size = 1, 1, _FIRST_CHUNK
+        self._positions = range(1, n + 1)
+        self._combos = itertools.combinations(self._positions, 1)
+        self.rows = np.zeros((1, 0), np.min_scalar_type(n))
+        self._pack(np.zeros(1, self.synd.dtype), np.ones(1, np.int64))
 
     def _pack(self, syndromes: np.ndarray, queries: np.ndarray) -> None:
         self.syndromes, self.queries = syndromes, queries
@@ -416,32 +349,35 @@ class _SyndromeLeaders:
         i = bisect.bisect_left(self._syndrome_view, target)
         return i if i < len(self._syndrome_view) and self._syndrome_view[i] == target else None
 
-    def _scan(self, a: int, b: int) -> None:
-        """Add the leaders first seen among queries a+1..b."""
-        values, offsets = np.unique(self.order.syndromes(self.synd, a, b), return_index=True)
+    def _scan(self) -> None:
+        """Add the leaders first seen in the next chunk of the order: one
+        gather of per-position syndromes and one XOR over each pattern."""
+        if self.scanned == self.ends[self._weight]:
+            self._weight += 1
+            self._combos = itertools.combinations(self._positions, self._weight)
+        count = min(self._size, self.ends[self._weight] - self.scanned)
+        flat = itertools.chain.from_iterable(itertools.islice(self._combos, count))
+        chunk = np.fromiter(flat, self.rows.dtype, count * self._weight).reshape(count, self._weight)
+        values, offsets = np.unique(np.bitwise_xor.reduce(self.synd.take(chunk), axis=1), return_index=True)
         new = ~np.isin(values, self.syndromes, assume_unique=True)
         values, offsets = values[new], offsets[new]
-        rows = self.order.cols[:, offsets + a - self.order.base].T  # never narrower than earlier rows
         at = np.searchsorted(self.syndromes, values)
-        wider = np.pad(self.rows, ((0, 0), (0, rows.shape[1] - self.rows.shape[1])))
-        self.rows = np.insert(wider, at, rows, axis=0)
-        self._pack(np.insert(self.syndromes, at, values), np.insert(self.queries, at, offsets + a + 1))
+        wider = np.pad(self.rows, ((0, 0), (0, self._weight - self.rows.shape[1])))
+        self.rows = np.insert(wider, at, chunk[offsets], axis=0)
+        self._pack(np.insert(self.syndromes, at, values), np.insert(self.queries, at, offsets + self.scanned + 1))
+        self.scanned += count
+        self._size = min(2 * self._size, _MAX_CHUNK)
 
     def leader(self, target: int, max_weight: int, budget: int | None):
         """(pattern, queries) for the first pattern with syndrome `target`, or
         (None, queries) when the capped, budgeted order has none."""
+        stop = self.ends[max_weight] if budget is None else min(self.ends[max_weight], budget)
         i = self._find(target)
-        if i is None:
-            for a, b in self.order.chunks(self.order.base, max_weight, budget):
-                self._scan(a, b)
-                self.order.release(b)
-                i = self._find(target)
-                if i is not None:
-                    break
-        stop = self.order.stop(max_weight, budget)
-        query = None if i is None else self._query_view[i]
-        if query is not None and (stop is None or query <= stop):
-            return tuple(sorted(p - 1 for p in self.rows[i].tolist() if p)), query
+        while i is None and self.scanned < stop:
+            self._scan()
+            i = self._find(target)
+        if i is not None and self._query_view[i] <= stop:
+            return tuple(p - 1 for p in self.rows[i].tolist() if p), self._query_view[i]
         return None, stop
 
 

@@ -357,10 +357,11 @@ def run_sweep(
         raise ConfigError(f"{axis}: sweep axis must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{axis}: sweep values must be strictly increasing, got {values}")
+    # every value is checked, as its point's config, before the first point runs
+    point_cfgs = [cfg.at(**{SWEEP_AXES[axis]: value}) for value in values]
     records: list[SweepRecord] = []
     with _pool(cfg) as pool:
-        for point_index, value in enumerate(values):
-            point_cfg = cfg.at(**{SWEEP_AXES[axis]: value})
+        for point_index, point_cfg in enumerate(point_cfgs):
             # one worker goes through `run_point`, the per-point span that
             # perfbench's tracer wraps
             if pool is None:

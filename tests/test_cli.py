@@ -199,6 +199,19 @@ def test_bad_flag_value_fails(capsys):
     assert "alpha1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,key", [("--d1", "nan", "d1"), ("--d2", "inf", "d2"), ("--power", "nan", "P")])
+def test_non_finite_flag_value_fails(capsys, flag, value, key):
+    assert run_cli(["sweep-snr", "--ebn0", "10", flag, value, "--max-blocks", "64", "--quiet"]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def test_sweep_with_an_invalid_last_value_writes_no_record(tmp_path):
+    out = tmp_path / "power.csv"
+    args = ["sweep-power", "--ebn0", "10", "--alpha1-list", "0.1 0.2 nan", "--max-blocks", "64", "--quiet"]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_records_to_stdout(capsys):
     code = run_cli([
         "sweep-snr", "--ebn0", "8", "--min-block-errors", "2", "--max-blocks", "32", "--quiet",

@@ -378,15 +378,16 @@ def test_cache_fill_state_never_changes_a_result(monkeypatch):
             _assert_same(results[i][1], forward[i][1])
 
 
-def _chunk_ends(start):
+def _chunk_ends(start, weight_ends=()):
     """Where the chunks of a search from query `start` end, through the
-    second chunk of the cap size."""
+    second chunk of the cap size; a chunk also ends at each of `weight_ends`."""
     from grandnoma import grand
 
     ends, size, capped = [start], grand._FIRST_CHUNK, 0
     while capped < 2:
-        ends.append(ends[-1] + size)
-        capped += size == grand._MAX_CHUNK
+        end = min([ends[-1] + size] + [e for e in weight_ends if e > ends[-1]])
+        capped += end - ends[-1] == grand._MAX_CHUNK
+        ends.append(end)
         size = min(2 * size, grand._MAX_CHUNK)
     return ends[1:]
 
@@ -411,21 +412,22 @@ def _first_syndrome_queries(patterns, syndrome_of_index):
 
 def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
     """Words whose first match is the query just before, at or just after
-    the chunk boundaries, up to the second chunk of the cap size.  Hard
-    GRAND's chunks start after query 0 and ORBGRAND's after query 1, the
-    empty guess; each hard search starts from an empty leader table, so that
-    its chunks end where a first search's do.  On CRC-12 most queries past a
-    few thousand share their syndrome with an earlier one, so CRC-32 puts the
-    first match on the last query of each chunk and on the first query of
-    the next."""
+    the chunk boundaries, up to the second chunk of the cap size.  Both
+    decoders' chunks start after query 1, the empty guess; the hard scan's
+    chunks also end at each Hamming weight's end (129 and 8,257), and each
+    hard search starts from an empty leader table, so that its chunks end
+    where a first scan's do.  On CRC-12 most queries past a few thousand
+    share their syndrome with an earlier one, so CRC-32 puts the first
+    match on the last query of each chunk and on the first query of the
+    next."""
     from grandnoma import grand
 
     llrs = np.arange(1.0, 129.0)  # rank r is position r - 1
-    hard_ends, orb_ends = _chunk_ends(0), _chunk_ends(1)
-    last = hard_ends[-1] + 5
+    hard_ends, orb_ends = _chunk_ends(1, (129, 8_257)), _chunk_ends(1)
+    last = max(hard_ends + orb_ends) + 5
     orb = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), last))
     hard = list(itertools.islice(hard_pattern_stream(128, 3), last))
-    near = {q for end in hard_ends for q in range(end - 2, end + 5)}  # ORBGRAND's ends are one later
+    near = {q for end in hard_ends + orb_ends for q in range(end - 2, end + 4)}
     for spec in (CRC12, CrcSpec(0x82608EDB, 96, 128)):
         code = get_code(spec)
         for patterns, ends in ((orb, orb_ends), (hard, hard_ends)):
@@ -451,15 +453,13 @@ def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 300])
 def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
-    """For every query of every chunk, `_GuessOrder.syndromes` equals the XOR
-    of the per-index syndromes over the indices the query flips: as
-    `pattern` reports them in the ORBGRAND order, and as
-    `hard_pattern_stream` gives them in the hard order, with and without
-    each chunk released; n = 300 takes the wider index dtype.  In the
-    ORBGRAND order, chunks start after the empty guess as in a search, and
-    `syndromes_from`, given the syndromes of every query before the chunk,
-    equals the same XOR in every chunk: chained from the parents' syndromes
-    where `chained` holds, and direct in the first chunk, where it does not."""
+    """For every query of every chunk of the ORBGRAND order, `syndromes`
+    equals the XOR of the per-index syndromes over the indices that
+    `pattern` reports; n = 300 takes the wider index dtype.  Chunks start
+    after the empty guess as in a search, and `syndromes_from`, given the
+    syndromes of every query before the chunk, equals the same XOR in every
+    chunk: chained from the parents' syndromes where `chained` holds, and
+    direct in the first chunk, where it does not."""
     from grandnoma import grand
 
     rng = np.random.default_rng(36)
@@ -467,39 +467,25 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     synd = np.concatenate([[0], table]).astype(np.uint16)
     indices = np.arange(n)  # pattern(q, indices) reports 1-based index i as i - 1
     budget = _chunk_ends(0)[-1] if n == 128 else 3_000
-    orders = [
-        (grand._OrbOrder(n, n), False),
-        (grand._HardOrder(n), False),
-        (grand._HardOrder(n), True),
-    ]
-    for order, release in orders:
-        logistic = isinstance(order, grand._OrbOrder)
-        stream = hard_pattern_stream(n, n)
-        found = np.zeros(1, np.uint16)  # the empty guess
-        widened = checked = chained = 0
-        for a, b in order.chunks(1 if logistic else 0, None, budget):
-            if logistic:
-                patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
-            else:
-                patterns = list(itertools.islice(stream, b - a))
-            want = [_xor_over(table, p) for p in patterns]
-            assert order.syndromes(synd, a, b).tolist() == want
-            if logistic:
-                assert order.syndromes_from(found, synd, a, b).tolist() == want
-                assert a > 1 or not order.chained(a, b)
-                chained += order.chained(a, b)
-                found = np.concatenate([found, np.array(want, np.uint16)])
-            widened += len(patterns[0]) < len(patterns[-1])
-            checked = b
-            if release:
-                order.release(b)
-        assert checked == budget
-        assert widened  # some chunk's width grew mid-chunk
-        assert chained >= 3 or not logistic
-        if logistic:  # ranges off the chunk schedule; (2, 130] holds parents of its own
-            assert not order.chained(2, 130)
-            for a in (2, 64, 200):
-                assert order.syndromes_from(found[:a], synd, a, a + 128).tolist() == found[a : a + 128].tolist()
+    order = grand._OrbOrder(n, n)
+    found = np.zeros(1, np.uint16)  # the empty guess
+    widened = checked = chained = 0
+    for a, b in order.chunks(1, None, budget):
+        patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
+        want = [_xor_over(table, p) for p in patterns]
+        assert order.syndromes(synd, a, b).tolist() == want
+        assert order.syndromes_from(found, synd, a, b).tolist() == want
+        assert a > 1 or not order.chained(a, b)
+        chained += order.chained(a, b)
+        found = np.concatenate([found, np.array(want, np.uint16)])
+        widened += len(patterns[0]) < len(patterns[-1])
+        checked = b
+    assert checked == budget
+    assert widened  # some chunk's width grew mid-chunk
+    assert chained >= 3
+    assert not order.chained(2, 130)  # ranges off the chunk schedule; (2, 130] holds parents of its own
+    for a in (2, 64, 200):
+        assert order.syndromes_from(found[:a], synd, a, a + 128).tolist() == found[a : a + 128].tolist()
 
 
 @pytest.mark.parametrize("n,cap,count", [
@@ -584,6 +570,40 @@ def test_first_hard_search_with_budget_one_decodes_like_the_reference(monkeypatc
                      _hard_reference(word, code, max_weight, 1))
         _assert_same(hard_grand_decode(word, code, max_weight, 2),
                      _hard_reference(word, code, max_weight, 2))
+
+
+def test_every_crc12_hard_leader_is_the_first_pattern_with_its_syndrome(monkeypatch):
+    """From an empty leader table, one word per CRC-12 syndrome (its 12
+    parity bits set to the syndrome's bits) decodes to the first pattern of
+    `hard_pattern_stream` with that syndrome, at that pattern's query; the
+    last is at query 354,373, and 24 have weight 4.  A budget one query
+    short abandons each search at the budget."""
+    from grandnoma import grand
+
+    code = get_code(CRC12)
+    table = code.position_syndrome_array.tolist()
+    first = {}
+    for query, pattern in enumerate(hard_pattern_stream(128, 4), start=1):
+        syndrome = 0
+        for position in pattern:
+            syndrome ^= table[position]
+        if syndrome not in first:
+            first[syndrome] = (query, pattern)
+            if len(first) == 4096:
+                break
+    assert max(query for query, _ in first.values()) == 354_373
+    assert sum(len(pattern) == 4 for _, pattern in first.values()) == 24
+    monkeypatch.setattr(grand, "_LEADERS", {})
+    for syndrome in range(4096):
+        word = np.zeros(128, dtype=np.uint8)
+        word[116:] = [(syndrome >> (11 - t)) & 1 for t in range(12)]
+        assert code.syndrome(word) == syndrome
+        query, pattern = first[syndrome]
+        result = hard_grand_decode(word, code, 4)
+        assert (result.queries, result.error_pattern, result.abandoned) == (query, pattern, False)
+        if query > 1:
+            result = hard_grand_decode(word, code, 4, query - 1)
+            assert (result.queries, result.error_pattern, result.abandoned) == (query - 1, (), True)
 
 
 @pytest.mark.parametrize("caps", [

@@ -197,6 +197,21 @@ def test_run_sweep_axes_and_validation():
         run_sweep(cfg, "nope", [1.0])
 
 
+@pytest.mark.parametrize("axis,values", [
+    ("alpha1", [0.1, 0.2, float("nan")]),
+    ("ebn0", [0.0, 4.0, float("inf")]),
+    ("d1", [1.0, 2.0, float("nan")]),
+])
+def test_run_sweep_checks_every_value_before_the_first_point(axis, values):
+    """NaN passes the strictly-increasing check, so the last value's config
+    must fail before any point runs."""
+    cfg = ScenarioConfig(scenario="pure", min_block_errors=5, max_blocks=64, trials_per_batch=32)
+    seen = []
+    with pytest.raises(ConfigError):
+        run_sweep(cfg, axis, values, on_point=seen.append)
+    assert seen == []
+
+
 # points 0 and 1 stop on min_block_errors after their first batch, with the
 # next batches in flight; point 2 runs all 20 batches to max_blocks
 POOL_SWEEP = ScenarioConfig(scenario="grand", decoder="grand", min_block_errors=6,
@@ -335,8 +350,10 @@ def test_config_validation_names_offending_key():
         ScenarioConfig(alpha1=1.5)
     with pytest.raises(ConfigError, match="scenario"):
         ScenarioConfig(scenario="bogus")
-    with pytest.raises(ConfigError, match="d1/d2"):
+    with pytest.raises(ConfigError, match="d1 must be"):
         ScenarioConfig(d1=0.0)
+    with pytest.raises(ConfigError, match="d2 must be"):
+        ScenarioConfig(d2=0.0)
     with pytest.raises(ConfigError, match="min_block_errors"):
         ScenarioConfig(min_block_errors=0)
 
@@ -379,6 +396,12 @@ def test_config_accepts_any_non_negative_integer_seed():
     ("d2", "d2", None),
     ("ebn0_db", "ebn0_db", "10"),
     ("xi", "xi", [2.0]),
+    ("P", "power", float("nan")),
+    ("P", "power", float("inf")),
+    ("d1", "d1", float("nan")),
+    ("d1", "d1", float("inf")),
+    ("d2", "d2", float("nan")),
+    ("d2", "d2", float("inf")),
 ])
 def test_config_rejects_nonfinite_and_negative_values(key, field, value):
     """Non-finite, negative and wrongly typed values all name their key."""
