@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,31 @@ def test_analyze_emits_theory_records(tmp_path):
     user1 = [d["ber"] for d in data if d["user"] == 1]
     assert user1[0] > user1[1] > user1[2]  # monotone in Eb/N0
     assert all(0.0 <= d["bler"] <= 1.0 for d in data)
+
+
+ANALYZE_GOLDEN = Path(__file__).parent / "golden" / "analyze.csv"
+ANALYZE_ARGS = ["analyze", "--ebn0", "0,8,16", "--p-ue", "0.001", "--alpha1", "0.2", "--d1", "1.6",
+                "--d2", "3", "--theory-samples", "2000", "--quiet"]
+
+
+def analyze_csv(directory) -> str:
+    """`analyze`'s CSV on AWGN, then its rows on Rayleigh, under one header."""
+    texts = []
+    for channel in ("awgn", "rayleigh"):
+        out = directory / f"{channel}.csv"
+        assert run_cli(ANALYZE_ARGS + ["--channel", channel, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    return texts[0] + texts[1].split("\n", 1)[1]
+
+
+def test_analyze_records_match_golden(tmp_path):
+    """Every field of every theory record, pinned byte for byte.  Regenerate
+    only on purpose, from the commit whose records are to be pinned:
+
+        PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_cli as t; \\
+            t.ANALYZE_GOLDEN.write_text(t.analyze_csv(pathlib.Path(tempfile.mkdtemp())))"
+    """
+    assert analyze_csv(tmp_path).splitlines() == ANALYZE_GOLDEN.read_text().splitlines()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
