@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import sys
 import time
@@ -119,18 +120,14 @@ def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     return value ^ value >> 16, hash_const
 
 
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
 def _absorb(pool: list, word, hash_const: int):
     """Mix one entropy word into every pool word (SeedSequence's loop over
-    the entropy beyond the pool size)."""
+    the entropy beyond the pool size, with its `mix`)."""
     mixed = []
     for dst in pool:
         value, hash_const = _hashmix(word, hash_const)
-        mixed.append(_mix(dst, value))
+        result = (_MIX_MULT_L * dst - _MIX_MULT_R * value) & _MASK32
+        mixed.append(result ^ result >> 16)
     return mixed, hash_const
 
 
@@ -141,24 +138,14 @@ def _philox_keys(master_seed: int, point_index: int, first: int, count: int) -> 
     i)).generate_state(2, np.uint64)`, the key `derive_trial_rng` gives its
     Philox.  A spawn key pads the seed's words with zeros to the pool size,
     so the trial's words are always mixed last: the pool after the seed and
-    point words is computed once, and only the trial's words and
-    `generate_state` run per trial, vectorized over the trials with the same
-    number of words.
+    point words is `SeedSequence(master_seed, spawn_key=(point_index,))`'s,
+    whose mixing makes four hashmix calls per entropy word, and only the
+    trial's words and `generate_state` run per trial, vectorized over the
+    trials with the same number of words.
     """
-    seed_words = _words(int(master_seed))
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(int(point_index))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        pool, hash_const = _absorb(pool, word, hash_const)
+    pool = np.random.SeedSequence(master_seed, spawn_key=(point_index,)).pool.tolist()
+    words = max(_POOL_SIZE, len(_words(int(master_seed)))) + len(_words(int(point_index)))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK32
 
     keys = np.empty((count, 2), dtype=np.uint64)
     start, end = first, first + count
@@ -249,6 +236,8 @@ def run_point(cfg: ScenarioConfig, point_index: int = 0) -> tuple[SweepRecord, S
 
     Returns one record per user.  Results do not depend on the worker count.
     """
+    if isinstance(point_index, bool) or not isinstance(point_index, numbers.Integral) or point_index < 0:
+        raise ValueError(f"point_index must be a non-negative integer, got {point_index!r}")
     with _pool(cfg) as pool:
         return _run_point(cfg, point_index, pool)
 

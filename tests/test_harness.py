@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import signal
 import warnings
 
 import numpy as np
@@ -54,9 +55,10 @@ KEY_SEEDS = [0, 1, 2**31, 2**32 - 1, 5 + (3 << 32), 2**64 + 5, 2**200 + 12345]
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_philox_keys_match_seed_sequence(seed):
     """The batch key helper gives every trial the key SeedSequence gives:
-    one-word trials, trials on both sides of 2**32 and at 2**40, a two-word
-    point, two- and three-word seeds, and a seed longer than the pool."""
-    for point in (0, 1, 2**32):
+    one-word trials, trials on both sides of 2**32 and at 2**40, two- and
+    three-word points, two- and three-word seeds, and a seed longer than the
+    pool."""
+    for point in (0, 1, 2**32, 2**64 + 7):
         for first, count in ((0, 300), (2**32 - 1, 2), (2**40, 1)):
             keys = harness._philox_keys(seed, point, first, count)
             assert keys.shape == (count, 2) and keys.dtype == np.uint64
@@ -246,6 +248,30 @@ def test_pooled_sweep_equals_serial_sweep_on_one_pool(monkeypatch):
     point = run_point(POOL_SWEEP.at(workers=2, ebn0_db=16.0), 2)
     assert len(opened) == 2 and all(map(records_equal, serial[4:], point))
     assert multiprocessing.active_children() == []
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("run_point did not return within 1 s")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("point_index", [-1, np.int64(-3), 1.5, True])
+def test_run_point_rejects_a_bad_point_index_before_any_batch(point_index, workers, monkeypatch):
+    """A negative, non-integer or bool point index fails within a second,
+    before a pool opens or a batch runs; a negative one used to loop for
+    ever splitting itself into 32-bit words, and 1.5 ran point 1."""
+    opened = _count_pools(monkeypatch)
+    batches = []
+    monkeypatch.setattr(harness, "_run_batch", lambda *args: batches.append(args))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="point_index"):
+            run_point(POOL_SWEEP.at(workers=workers), point_index)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert opened == [] and batches == []
 
 
 _REAL_RUN_BATCH = harness._run_batch
