@@ -10,14 +10,17 @@ stdout or --out; progress and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import io
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .config import CONFIG_KEYS, DEFAULT_CRC, ConfigError, ScenarioConfig, check_value
 from .crc import CrcSpec
-from .harness import CSV_FIELDS, SWEEP_AXES, SweepRecord, run_point, run_sweep, write_records
+from .harness import CSV_FIELDS, SWEEP_AXES, SweepRecord, _record, run_point, run_sweep, write_records
 from .phy import path_loss
 from .theory import (
     TheoryInputs,
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples for fading expectations")
 
     p = sub.add_parser("selfcheck", help="fast internal consistency checks")
-    _add_common(p)
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     return parser
 
@@ -119,7 +122,9 @@ def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]
 
 
 class _Flusher:
-    """Streams CSV rows (or collects JSON records) as points finish."""
+    """Writes records as points finish: the whole file again to --out, and
+    on stdout each point's CSV rows (the header first) or, for JSON, one
+    array at the end."""
 
     def __init__(self, fmt: str, out: str | None):
         self.fmt = fmt
@@ -127,13 +132,19 @@ class _Flusher:
         self.records: list[SweepRecord] = []
 
     def __call__(self, new_records: list[SweepRecord]) -> None:
+        first = not self.records
         self.records.extend(new_records)
         if self.out is not None:
             write_records(self.records, self.fmt, self.out)
+        elif self.fmt == "csv":
+            text = io.StringIO()
+            write_records(new_records, "csv", text)
+            sys.stdout.write(text.getvalue() if first else text.getvalue().split("\n", 1)[1])
+            sys.stdout.flush()
 
     def finish(self) -> None:
-        if self.out is None:
-            write_records(self.records, self.fmt, None)
+        if self.out is None and self.fmt == "json":
+            write_records(self.records, "json", None)
 
 
 def _progress(args: argparse.Namespace, message: str) -> None:
@@ -195,24 +206,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
         ber1 = ber_user1(inputs, rng)
         ber2 = ber_user2(inputs, rng)
         for user, ber in ((1, ber1), (2, ber2)):
-            records.append(SweepRecord(
-                scenario=point.scenario,
-                decoder="theory",
-                channel=point.channel,
-                ebn0_db=point.ebn0_db,
-                alpha1=point.alpha1,
-                d1=point.d1,
-                d2=point.d2,
-                user=user,
-                bits=0, bit_errors=0,
-                ber=ber,
-                blocks=0, block_errors=0,
+            records.append(dataclasses.replace(
+                _record(point, user, Counter(), 0.0), decoder="theory", ber=ber,
                 bler=bler_upper_bound(ber, n, point.grand_max_weight),
-                mean_queries=0.0,
-                undetected_rate=args.p_ue if user == 1 else 0.0,
-                seed=point.master_seed,
-                wall_time_s=0.0,
-            ))
+                undetected_rate=args.p_ue if user == 1 else 0.0))
         _progress(args, f"[analyze] ebn0={value:g} ber1={ber1:.3e} ber2={ber2:.3e}")
     write_records(records, args.format, args.out)
     return 0

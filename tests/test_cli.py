@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from grandnoma import harness
 from grandnoma.cli import _build_config, build_parser, main
 from grandnoma.config import CONFIG_KEYS, ScenarioConfig
 from grandnoma.harness import read_records_csv
@@ -253,3 +254,51 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--crc-k", "5", "--crc-n", "4"], ["--workers", "3"], ["--out", "x.csv"], ["--format", "json"],
+    ["--config", "c.json"], ["--ebn0", "8"],
+])
+def test_selfcheck_rejects_config_flags(capsys, flags):
+    """selfcheck runs fixed checks, so a config flag it would ignore is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selfcheck", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_REAL_RUN_BATCH = harness._run_batch
+
+
+def _failing_batch(cfg, point_index, start, count):
+    if point_index == 1:
+        raise RuntimeError("batch failed")
+    return _REAL_RUN_BATCH(cfg, point_index, start, count)
+
+
+SWEEP_TO_STDOUT = ["sweep-snr", "--ebn0", "8 30", "--min-block-errors", "2", "--max-blocks", "32", "--quiet"]
+
+
+def _without_wall_time(text: str) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+
+def test_csv_on_stdout_is_written_point_by_point(tmp_path, capsys, monkeypatch):
+    """A finished sweep prints what --out holds, and the header and the first
+    point's rows are on stdout before the second point fails.  JSON on
+    stdout stays one array."""
+    out = tmp_path / "sweep.csv"
+    assert run_cli(SWEEP_TO_STDOUT + ["--out", str(out)]) == 0
+    assert run_cli(SWEEP_TO_STDOUT) == 0
+    whole = capsys.readouterr().out
+    assert _without_wall_time(whole) == _without_wall_time(out.read_text())
+    assert len(whole.splitlines()) == 5
+
+    assert run_cli(SWEEP_TO_STDOUT + ["--format", "json"]) == 0
+    assert [r["ebn0_db"] for r in json.loads(capsys.readouterr().out)] == [8.0, 8.0, 30.0, 30.0]
+
+    monkeypatch.setattr(harness, "_run_batch", _failing_batch)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_cli(SWEEP_TO_STDOUT)
+    assert _without_wall_time(capsys.readouterr().out) == _without_wall_time(whole)[:3]
