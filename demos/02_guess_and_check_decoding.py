@@ -27,9 +27,9 @@ print("hard-decision schedule, 4 bit positions:")
 print("   ", list(hard_pattern_stream(4, 4)))
 
 llrs = np.array([3.0, -0.4, 2.0, 0.9])
-ranking = rank_by_reliability(llrs)
-print("\nLLRs", llrs.tolist(), "-> positions by rising |LLR|:", ranking.order.tolist())
-print("soft schedule (first 8):", list(itertools.islice(orb_pattern_stream(ranking), 8)))
+order = rank_by_reliability(llrs)
+print("\nLLRs", llrs.tolist(), "-> positions by rising |LLR|:", order.tolist())
+print("soft schedule (first 8):", list(itertools.islice(orb_pattern_stream(order), 8)))
 
 # A noisy block through both decoders.
 spec = CrcSpec(0x8F3, 116, 128)

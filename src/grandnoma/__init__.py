@@ -26,7 +26,6 @@ from .config import (
 from .crc import CrcCode, CrcSpec, crc_check, crc_encode, get_code, koopman_to_normal
 from .grand import (
     DecodeResult,
-    ReliabilityRanking,
     grand_decode,
     hard_grand_decode,
     hard_pattern_stream,

@@ -36,7 +36,6 @@ import numpy as np
 from .crc import CrcCode, CrcSpec
 
 __all__ = [
-    "ReliabilityRanking",
     "DecodeResult",
     "hard_pattern_stream",
     "rank_by_reliability",
@@ -49,16 +48,6 @@ __all__ = [
 _FIRST_CHUNK = 128  # queries per syndrome chunk at the start of a search or a scan ...
 _MAX_CHUNK = 4096  # ... doubling up to this
 _DENSE = 1 + 3 * _FIRST_CHUNK  # queries 1..385: an ORBGRAND search's first two chunks
-
-
-@dataclass(frozen=True)
-class ReliabilityRanking:
-    """Bit positions sorted by ascending |LLR|; order[r-1] is the position of rank r."""
-
-    order: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 @dataclass
@@ -92,13 +81,14 @@ def hard_pattern_stream(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), weight)
 
 
-def rank_by_reliability(llrs: np.ndarray) -> ReliabilityRanking:
-    """Rank bit positions by |LLR| ascending; ties go to the lower position."""
+def rank_by_reliability(llrs: np.ndarray) -> np.ndarray:
+    """Bit positions by |LLR| ascending, ties to the lower position: element
+    r-1 is the position of rank r."""
     magnitudes = np.abs(np.asarray(llrs, dtype=float))
     order = magnitudes.argsort(kind="stable")
     if order.size and math.isnan(magnitudes[order[-1]]):  # NaN sorts last
         raise ValueError("llrs contain NaN")
-    return ReliabilityRanking(order=order)
+    return order
 
 
 def _distinct_partitions(total: int, k: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -135,18 +125,17 @@ def _orb_rank_sets(n: int, max_logistic_weight: int, max_hamming_weight: int) ->
 
 
 def orb_pattern_stream(
-    ranking: ReliabilityRanking,
+    order: np.ndarray,
     max_logistic_weight: int | None = None,
     max_hamming_weight: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Flip patterns in ascending logistic-weight order, mapped to bit positions."""
+    """Flip patterns in ascending logistic-weight order; rank r flips position order[r-1]."""
     _check_orb_caps(max_logistic_weight, max_hamming_weight)
-    n = len(ranking)
+    n = len(order)
     if max_logistic_weight is None:
         max_logistic_weight = n * (n + 1) // 2
     if max_hamming_weight is None:
         max_hamming_weight = n
-    order = ranking.order
     for ranks in _orb_rank_sets(n, max_logistic_weight, max_hamming_weight):
         yield tuple(sorted(int(order[r - 1]) for r in ranks))
 
@@ -218,26 +207,20 @@ class _OrbOrder:
         while self.filled < upto and not self.exhausted:
             self._add_class(len(self._weight_end))
 
-    def stop(self, cap: int | None, budget: int | None) -> int | None:
-        """Queries that the weight cap and the budget allow, or None while not yet known."""
+    def stop(self, cap: int | None, limit: float) -> float:
+        """Queries that the weight cap and `limit` (inf for no budget) allow; `limit` while unknown."""
         if cap is not None and cap < len(self._weight_end):
-            length = self._weight_end[cap]
-        elif self.exhausted:
-            length = self.filled
-        else:
-            length = None
-        bounds = [b for b in (length, budget) if b is not None]
-        return min(bounds) if bounds else None
+            return min(self._weight_end[cap], limit)
+        return min(self.filled, limit) if self.exhausted else limit
 
     def chunks(self, start: int, cap: int | None, budget: int | None) -> Iterator[tuple[int, int]]:
         """Ranges (a, b] of queries after query `start`, up to the end of the
         capped, budgeted order, in chunks that double in size."""
         a, size = start, _FIRST_CHUNK
+        limit = math.inf if budget is None else budget
         while True:
-            want = a + size if budget is None else min(a + size, budget)
-            self.fill(want)
-            stop = self.stop(cap, budget)
-            b = want if stop is None else min(want, stop)
+            self.fill(min(a + size, limit))
+            b = min(a + size, self.stop(cap, limit))
             if b <= a:
                 return
             yield a, b
@@ -285,10 +268,15 @@ class _OrbOrder:
         self.filled = hi
         self.exhausted = weight == self._last_weight
 
-    def syndromes(self, synd: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Syndromes of queries a+1..b: one gather of the block's columns, as
-        wide as the most flips among them (read from `cols` within the dense
-        prefix and rebuilt by `ranks` past it), and one XOR over its slots."""
+    def syndromes(self, synd: np.ndarray, a: int, b: int, found: np.ndarray | None = None) -> np.ndarray:
+        """Syndromes of queries a+1..b.  Given those of queries 1..a by column
+        in `found`, and when every parent is among them: one gather of the
+        parents' syndromes and one of the largest ranks', XORed.  Otherwise:
+        one gather of the block's columns, as wide as the most flips among
+        them (read from `cols` within the dense prefix and rebuilt by `ranks`
+        past it), and one XOR over its slots."""
+        if found is not None and self.chained(a, b):
+            return found.take(self.parent[a:b]) ^ synd.take(self.last[a:b])
         width = bisect.bisect_left(self._size_start, b) - 1
         block = self.cols[:width, a:b] if b <= self._dense else self.ranks(np.arange(a, b), width)
         return np.bitwise_xor.reduce(synd.take(block), axis=0)
@@ -305,14 +293,6 @@ class _OrbOrder:
         """Whether every parent of the classes that queries a+1..b reach is
         among queries 1..a."""
         return self._reach[bisect.bisect_right(self._weight_end, b - 1)] < a
-
-    def syndromes_from(self, found: np.ndarray, synd: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Syndromes of queries a+1..b, given those of queries 1..a by column
-        in `found`: one gather of the parents' syndromes and one of the
-        largest ranks', XORed, or `syndromes` when a parent is not found."""
-        if not self.chained(a, b):
-            return self.syndromes(synd, a, b)
-        return found.take(self.parent[a:b]) ^ synd.take(self.last[a:b])
 
 
 class _SyndromeLeaders:
@@ -446,25 +426,22 @@ def orbgrand_decode(
         if np.isnan(llrs).any():
             raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
-    ranking = rank_by_reliability(llrs)
+    positions = rank_by_reliability(llrs)
     key = (n, n if max_hamming_weight is None else min(n, max_hamming_weight))
     order = _ORB_ORDERS.get(key)
     if order is None:
         order = _ORB_ORDERS[key] = _OrbOrder(*key)
     table = code.position_syndrome_array
     synd = np.zeros(n + 1, table.dtype)
-    synd[1:] = table[ranking.order]
+    synd[1:] = table[positions]
     queries, found = 1, None  # found: the syndromes of queries 1..a by column, once a chunk missed
     for a, b in order.chunks(1, max_logistic_weight, query_budget):
-        if found is None:
-            syndromes = order.syndromes(synd, a, b)
-        else:
-            syndromes = order.syndromes_from(found, synd, a, b)
+        syndromes = order.syndromes(synd, a, b, found)
         hits = syndromes == target
         first = int(hits.argmax())
         if hits[first]:
             query = a + first + 1
-            pattern = order.pattern(query, ranking.order)
+            pattern = order.pattern(query, positions)
             return DecodeResult(_apply_pattern(word, pattern), pattern, query, False)
         if found is None or len(found) < b:  # room for the queries cached so far, or twice b
             grown = np.empty(max(2 * b, order.filled), synd.dtype)

@@ -48,11 +48,11 @@ def test_hard_stream_weights_nondecreasing():
 
 def test_rank_by_reliability():
     llrs = np.array([3.0, -1.0, 2.0])
-    r = rank_by_reliability(llrs)
-    assert list(r.order) == [1, 2, 0]
-    assert list(rank_by_reliability(np.array([1.0, -1.0])).order) == [0, 1]
-    assert list(rank_by_reliability(np.zeros(5)).order) == [0, 1, 2, 3, 4]
-    assert np.all(np.diff(np.abs(llrs)[r.order]) >= 0)
+    order = rank_by_reliability(llrs)
+    assert list(order) == [1, 2, 0]
+    assert list(rank_by_reliability(np.array([1.0, -1.0]))) == [0, 1]
+    assert list(rank_by_reliability(np.zeros(5))) == [0, 1, 2, 3, 4]
+    assert np.all(np.diff(np.abs(llrs)[order]) >= 0)
 
 
 def test_rank_rejects_nan():
@@ -456,7 +456,7 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     """For every query of every chunk of the ORBGRAND order, `syndromes`
     equals the XOR of the per-index syndromes over the indices that
     `pattern` reports; n = 300 takes the wider index dtype.  Chunks start
-    after the empty guess as in a search, and `syndromes_from`, given the
+    after the empty guess as in a search, and `syndromes` given `found`, the
     syndromes of every query before the chunk, equals the same XOR in every
     chunk: chained from the parents' syndromes where `chained` holds, and
     direct in the first chunk, where it does not."""
@@ -474,7 +474,7 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
         patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
         want = [_xor_over(table, p) for p in patterns]
         assert order.syndromes(synd, a, b).tolist() == want
-        assert order.syndromes_from(found, synd, a, b).tolist() == want
+        assert order.syndromes(synd, a, b, found).tolist() == want
         assert a > 1 or not order.chained(a, b)
         chained += order.chained(a, b)
         found = np.concatenate([found, np.array(want, np.uint16)])
@@ -485,7 +485,7 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     assert chained >= 3
     assert not order.chained(2, 130)  # ranges off the chunk schedule; (2, 130] holds parents of its own
     for a in (2, 64, 200):
-        assert order.syndromes_from(found[:a], synd, a, a + 128).tolist() == found[a : a + 128].tolist()
+        assert order.syndromes(synd, a, a + 128, found[:a]).tolist() == found[a : a + 128].tolist()
 
 
 @pytest.mark.parametrize("n,cap,count", [
