@@ -9,7 +9,8 @@ Core pieces:
 - `grand`: error-pattern schedules and the guess-and-check query loop.
 - `phy`: BPSK, superposition, fading/path-loss channel, equalization, LLRs.
 - `link`: the end-to-end two-user trial with SIC at the near user.
-- `theory`: Gaussian-tail error-rate expressions and a block-error bound.
+- `theory`: Gaussian-tail error-rate expressions and a block-error bound
+  (the only scipy user; scipy loads on its first call, not on import).
 - `harness`: reproducible Monte Carlo sweeps and record output.
 - `cli`: `grandnoma` command with sweep-snr / sweep-power / sweep-distance /
   analyze / selfcheck subcommands.

@@ -8,7 +8,8 @@ Expectations over fading are evaluated by Monte Carlo on the squared channel
 norms; for AWGN the sampler is deterministic and a single sample suffices.
 
 The expressions are implemented verbatim, constant factors included; no
-attempt is made to recalibrate them against the simulator.
+attempt is made to recalibrate them against the simulator.  scipy is
+imported inside the functions that use it, never at package import (D16).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, gammaln, logsumexp
 
 __all__ = [
     "TheoryInputs",
@@ -53,6 +53,7 @@ class TheoryInputs:
 
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
+    from scipy.special import erfc
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -137,6 +138,7 @@ def bler_upper_bound(ber: float, codeword_len: int, correctable: int) -> float:
         return 0.0
     if ber == 1.0:
         return 1.0
+    from scipy.special import gammaln, logsumexp
     ell = np.arange(correctable + 1, n + 1, dtype=float)
     log_terms = (
         gammaln(n + 1.0)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from grandnoma import harness
 from grandnoma.cli import _build_config, build_parser, main
 from grandnoma.config import CONFIG_KEYS, ScenarioConfig
 from grandnoma.harness import read_records_csv
+from test_harness import _count_pools
 
 
 def run_cli(args):
@@ -239,6 +241,19 @@ def test_sweep_with_an_invalid_last_value_writes_no_record(tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_out_fails_before_any_batch(monkeypatch, tmp_path, capsys):
+    """An --out that cannot be written stops the sweep before its first
+    point, and the check creates no file."""
+    batches = []
+    monkeypatch.setattr(harness, "_run_batch", lambda *args: batches.append(args))
+    base = ["sweep-snr", "--ebn0", "4 6", "--min-block-errors", "20", "--max-blocks", "300"]
+    for out in ("/nonexistent/x.csv", str(tmp_path)):
+        assert run_cli(base + ["--out", out]) == 1
+        assert "cannot write records" in capsys.readouterr().err
+    assert batches == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_records_to_stdout(capsys):
     code = run_cli([
         "sweep-snr", "--ebn0", "8", "--min-block-errors", "2", "--max-blocks", "32", "--quiet",
@@ -254,6 +269,17 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+
+
+def test_selfcheck_opens_a_pool_under_a_one_worker_environment(monkeypatch, capsys):
+    """The worker-count check compares one worker with two even when the
+    environment variable would force both runs to one, and restores it."""
+    monkeypatch.setenv(harness.WORKERS_ENV_VAR, "1")
+    opened = _count_pools(monkeypatch)
+    assert run_cli(["selfcheck", "--quiet"]) == 0
+    assert "worker-count reproducibility: PASS" in capsys.readouterr().out
+    assert len(opened) >= 1
+    assert os.environ[harness.WORKERS_ENV_VAR] == "1"
 
 
 @pytest.mark.parametrize("flags", [

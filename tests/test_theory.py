@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from grandnoma import (
     q_function,
     rayleigh_gain_sampler,
 )
+from grandnoma.harness import WORKERS_ENV_VAR
 
 
 def gaussian_tail_quadrature(x):
@@ -157,3 +163,39 @@ def test_theory_inputs_validation():
         bler_upper_bound(-0.1, 128, 2)
     with pytest.raises(ValueError):
         bler_upper_bound(0.1, 128, 200)
+
+
+SCIPY_GUARD = """
+import json, sys
+import grandnoma
+from grandnoma import ScenarioConfig, cli, run_point
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=8.0, min_block_errors=2, max_blocks=64)
+run_point(cfg)
+run_point(cfg.at(workers=2))
+assert cli.main(["sweep-snr", "--ebn0", "6 8", "--min-block-errors", "2", "--max-blocks", "32",
+                 "--workers", "2", "--out", sys.argv[1], "--quiet"]) == 0
+before = scipy_loaded()
+q = float(grandnoma.q_function(1.0))
+bound = grandnoma.bler_upper_bound(1e-3, 128, 4)
+print(json.dumps({"before": before, "after": "scipy" in sys.modules, "q": q, "bound": bound}))
+"""
+
+
+def test_simulation_paths_never_load_scipy(tmp_path):
+    """Importing the package, running points at one and two workers and a
+    CLI sweep load no scipy module; the first theory call loads it.  Runs in
+    a fresh interpreter, since other tests import scipy in this one."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop(WORKERS_ENV_VAR, None)
+    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path / "sweep.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["before"] == []
+    assert seen["after"] is True
+    assert seen["q"] == 0.15865525393145707
+    assert seen["bound"] == 2.3881749764497286e-07
