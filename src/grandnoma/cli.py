@@ -131,8 +131,10 @@ class _Flusher:
 
     def __init__(self, fmt: str, out: str | None):
         if out is not None:  # checked before any trial runs, without creating the file
-            target = out if os.path.exists(out) else os.path.dirname(out) or "."
-            if os.path.isdir(out) or not os.access(target, os.W_OK):
+            new = not os.path.exists(out)
+            target = (os.path.dirname(out) or ".") if new else out
+            # an existing path must be a file, a new file's parent a directory
+            if not out or os.path.isdir(target) != new or not os.access(target, os.W_OK):
                 raise OSError(f"cannot write records to {out!r}: not a writable file path")
         self.fmt = fmt
         self.out = out
@@ -195,7 +197,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     n = cfg.crc.codeword_len
     l1 = path_loss(cfg.d1, cfg.xi)
     l2 = path_loss(cfg.d2, cfg.xi)
-    records = []
+    flusher = _Flusher(args.format, args.out)
     for value in ebn0_list:
         point = cfg.at(ebn0_db=float(value))
         if cfg.channel == "rayleigh":
@@ -212,13 +214,13 @@ def _run_analyze(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(point.master_seed)
         ber1 = ber_user1(inputs, rng)
         ber2 = ber_user2(inputs, rng)
-        for user, ber in ((1, ber1), (2, ber2)):
-            records.append(dataclasses.replace(
-                _record(point, user, Counter(), 0.0), decoder="theory", ber=ber,
-                bler=bler_upper_bound(ber, n, point.grand_max_weight),
-                undetected_rate=args.p_ue if user == 1 else 0.0))
+        pair = [dataclasses.replace(_record(point, user, Counter(), 0.0), decoder="theory", ber=ber,
+                                    bler=bler_upper_bound(ber, n, point.grand_max_weight),
+                                    undetected_rate=args.p_ue if user == 1 else 0.0)
+                for user, ber in ((1, ber1), (2, ber2))]
         _progress(args, f"[analyze] ebn0={value:g} ber1={ber1:.3e} ber2={ber2:.3e}")
-    write_records(records, args.format, args.out)
+        flusher(pair)
+    flusher.finish()
     return 0
 
 

@@ -23,9 +23,9 @@ import os
 import sys
 import time
 import typing
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -207,13 +207,29 @@ def _stop(cfg: ScenarioConfig, totals: Counter) -> bool:
     return totals["blocks"] >= cfg.max_blocks or errors >= cfg.min_block_errors
 
 
-def _batch_plan(cfg: ScenarioConfig):
-    """Batch (start, count) pairs covering trials 0..max_blocks-1 in order."""
-    start = 0
-    while start < cfg.max_blocks:
-        count = min(cfg.trials_per_batch, cfg.max_blocks - start)
-        yield start, count
-        start += count
+def _batches(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | None):
+    """Batch totals over trials 0..max_blocks-1, in trial order: run here if
+    `pool` is None, else with a window of 2 x workers batches submitted to
+    it ahead of the one read.  Closing the generator cancels the queued ones
+    (running ones finish unread)."""
+    plan = ((start, min(cfg.trials_per_batch, cfg.max_blocks - start))
+            for start in range(0, cfg.max_blocks, cfg.trials_per_batch))
+    if pool is None:
+        for start, count in plan:
+            yield _run_batch(cfg, point_index, start, count)
+        return
+    depth = 2 * resolve_workers(cfg)
+    window = deque()
+    try:
+        for start, count in plan:
+            window.append(pool.submit(_run_batch, cfg, point_index, start, count))
+            if len(window) == depth:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        for future in window:
+            future.cancel()
 
 
 def resolve_workers(cfg: ScenarioConfig) -> int:
@@ -245,50 +261,24 @@ def run_point(cfg: ScenarioConfig, point_index: int = 0) -> tuple[SweepRecord, S
 @contextmanager
 def _pool(cfg: ScenarioConfig):
     """A process pool for `cfg`'s workers (None for one) that lives as long
-    as the `with` body; if the body raises, queued batches are cancelled."""
+    as the `with` body; `_batches` cancels the batches it leaves queued."""
     workers = resolve_workers(cfg)
     if workers == 1:
         yield None
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield pool
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    pool.shutdown()
 
 
 def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | None):
-    """`run_point` on `pool`, or in this process if it is None.  Batches
-    still running when the point stops finish unread."""
+    """`run_point` on `pool`, or in this process if it is None."""
     started = time.perf_counter()
     totals = Counter()
-    if pool is None:
-        for start, count in _batch_plan(cfg):
-            totals.update(_run_batch(cfg, point_index, start, count))
+    with closing(_batches(cfg, point_index, pool)) as batches:
+        for batch in batches:
+            totals.update(batch)
             if _stop(cfg, totals):
                 break
-    else:
-        depth = 2 * resolve_workers(cfg)
-        plan = _batch_plan(cfg)
-        pending = []
-        exhausted = False
-        stopped = False
-        while not stopped:
-            while not exhausted and len(pending) < depth:
-                nxt = next(plan, None)
-                if nxt is None:
-                    exhausted = True
-                    break
-                pending.append(pool.submit(_run_batch, cfg, point_index, *nxt))
-            if not pending:
-                break
-            # merge strictly in submission (= trial index) order
-            totals.update(pending.pop(0).result())
-            stopped = _stop(cfg, totals)
-        for fut in pending:
-            fut.cancel()
     elapsed = time.perf_counter() - started
     return (
         _record(cfg, 1, totals, elapsed),

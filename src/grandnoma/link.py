@@ -104,29 +104,32 @@ def transmit(u1: np.ndarray, u2: np.ndarray, cfg: ScenarioConfig):
 
 
 def _decode(
-    words: np.ndarray,
-    y: np.ndarray,
+    received: np.ndarray,
     channel: ChannelRealization,
     cfg: ScenarioConfig,
-    amplitude: float,
-    interferer_power: float,
+    alpha: float,
+    interferer_alpha: float,
     enabled: bool,
 ):
-    """Decode every word of a (..., N) block, one decoder call per word, or
-    pass the words through when `enabled` is false.
+    """Equalize a (..., N) block of received samples and decode its hard
+    decisions, one decoder call per word, or pass them through when `enabled`
+    is false.  ORBGRAND's LLRs take the layer's amplitude sqrt(alpha * P)
+    and count a layer of power interferer_alpha * P as noise.
 
     The per-word calls are the benchmark's decoder seam: its tracer times
     and re-decodes each one (DECISIONS.md, D6).  Returns (codewords,
     queries, abandoned), the last two over the leading axes.
     """
+    y = equalize(received, channel)
+    words = hard_demod(y)
     lead = words.shape[:-1]
     if not enabled:
         return words, np.zeros(lead, dtype=np.int64), np.zeros(lead, dtype=bool)
     code = get_code(cfg.crc)
     rows = words.reshape(-1, words.shape[-1])
     if cfg.decoder == DECODER_ORBGRAND:
-        sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_power)
-        llrs = compute_llrs(y, amplitude, sigma_eff).reshape(rows.shape)
+        sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_alpha * cfg.power)
+        llrs = compute_llrs(y, np.sqrt(alpha * cfg.power), sigma_eff).reshape(rows.shape)
         results = [
             orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
                             query_budget=cfg.orb_query_budget)
@@ -147,13 +150,8 @@ def receive_user2(received: np.ndarray, ch2: ChannelRealization, cfg: ScenarioCo
 
     Returns (u2_hat, queries, abandoned).
     """
-    y = equalize(received, ch2)
-    codeword, queries, abandoned = _decode(
-        hard_demod(y), y, ch2, cfg,
-        amplitude=np.sqrt(cfg.alpha2 * cfg.power),
-        interferer_power=cfg.alpha1 * cfg.power,
-        enabled=cfg.scenario != SCENARIO_PURE,
-    )
+    codeword, queries, abandoned = _decode(received, ch2, cfg, cfg.alpha2, interferer_alpha=cfg.alpha1,
+                                           enabled=cfg.scenario != SCENARIO_PURE)
     return codeword[..., : cfg.crc.message_len].copy(), queries, abandoned
 
 
@@ -163,7 +161,6 @@ def sic_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig
     In "grand-assist" the hard-decision reconstruction is first corrected by
     the configured decoder.  Returns (r_sic, reconstructed, queries, abandoned).
     """
-    y = equalize(received, ch1)
     # Reconstruction LLRs weight reliability by the fade-scaled noise
     # variance alone.  Reconstruction errors sit in fades, so this pins
     # them to the bottom reliability ranks and the search finds the true
@@ -171,12 +168,8 @@ def sic_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig
     # the own-layer interference into sigma_eff would flatten the
     # ranking and let deep searches return wrong codewords, which then
     # inject interference on otherwise-clean symbols.
-    reconstructed, queries, abandoned = _decode(
-        hard_demod(y), y, ch1, cfg,
-        amplitude=np.sqrt(cfg.alpha2 * cfg.power),
-        interferer_power=0.0,
-        enabled=cfg.scenario == SCENARIO_GRAND_ASSIST,
-    )
+    reconstructed, queries, abandoned = _decode(received, ch1, cfg, cfg.alpha2, interferer_alpha=0.0,
+                                                enabled=cfg.scenario == SCENARIO_GRAND_ASSIST)
     s_hat = bpsk_modulate(reconstructed)
     r_sic = received - np.sqrt(cfg.alpha2 * cfg.power) * propagate(s_hat, ch1)
     return r_sic, reconstructed, queries, abandoned
@@ -189,13 +182,8 @@ def receive_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioCo
     Returns (u1_hat, queries, abandoned, sic), sic being `sic_user1`'s last three.
     """
     sic = sic_user1(received, ch1, cfg)
-    y = equalize(sic[0], ch1)
-    codeword, queries, abandoned = _decode(
-        hard_demod(y), y, ch1, cfg,
-        amplitude=np.sqrt(cfg.alpha1 * cfg.power),
-        interferer_power=0.0,
-        enabled=cfg.scenario != SCENARIO_PURE,
-    )
+    codeword, queries, abandoned = _decode(sic[0], ch1, cfg, cfg.alpha1, interferer_alpha=0.0,
+                                           enabled=cfg.scenario != SCENARIO_PURE)
     return codeword[..., : cfg.crc.message_len].copy(), queries, abandoned, sic[1:]
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from grandnoma import harness
+from grandnoma import cli, harness
 from grandnoma.cli import _build_config, build_parser, main
 from grandnoma.config import CONFIG_KEYS, ScenarioConfig
 from grandnoma.harness import read_records_csv
@@ -243,15 +243,27 @@ def test_sweep_with_an_invalid_last_value_writes_no_record(tmp_path):
 
 def test_unwritable_out_fails_before_any_batch(monkeypatch, tmp_path, capsys):
     """An --out that cannot be written stops the sweep before its first
-    point, and the check creates no file."""
+    point, and the check creates no file: a missing directory, a directory,
+    an empty path, and a path under a regular file."""
     batches = []
     monkeypatch.setattr(harness, "_run_batch", lambda *args: batches.append(args))
     base = ["sweep-snr", "--ebn0", "4 6", "--min-block-errors", "20", "--max-blocks", "300"]
-    for out in ("/nonexistent/x.csv", str(tmp_path)):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for out in ("/nonexistent/x.csv", str(tmp_path), "", str(regular / "x.csv")):
         assert run_cli(base + ["--out", out]) == 1
         assert "cannot write records" in capsys.readouterr().err
     assert batches == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [regular] and regular.read_text() == ""
+
+
+def test_analyze_checks_out_before_any_point(monkeypatch, capsys):
+    """`analyze` rejects an unwritable --out before it computes a point."""
+    computed = []
+    monkeypatch.setattr(cli, "ber_user1", lambda *args: computed.append(args))
+    assert run_cli(["analyze", "--ebn0", "0 8 16", "--channel", "rayleigh", "--out", "/nonexistent/x.csv"]) == 1
+    assert "cannot write records" in capsys.readouterr().err
+    assert computed == []
 
 
 def test_records_to_stdout(capsys):

@@ -250,6 +250,30 @@ def test_pooled_sweep_equals_serial_sweep_on_one_pool(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pooled_point_keeps_a_window_of_two_batches_per_worker(monkeypatch):
+    """A pooled point submits 2 x workers batches before it reads the first,
+    and one more only after a merged batch lets it go on, so a point that
+    stops on its first merged batch submits exactly 2 x workers, with the
+    one-worker records."""
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    cfg = POOL_SWEEP.at(ebn0_db=10.0)
+    serial = run_point(cfg, 0)
+    submitted = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args[1:])
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    pooled = run_point(cfg.at(workers=2), 0)
+    assert serial[0].blocks == 16
+    assert len(submitted) == 2 * 2
+    assert [start for _, _, start, _ in submitted] == [0, 16, 32, 48]
+    assert all(map(records_equal, serial, pooled))
+    assert multiprocessing.active_children() == []
+
+
 def _timed_out(signum, frame):
     raise TimeoutError("run_point did not return within 1 s")
 

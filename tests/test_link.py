@@ -263,6 +263,26 @@ def test_block_equals_single_trials(kwargs, trials):
         assert block["abandoned_user2"].any()
 
 
+def test_seam_call_order_of_one_block(monkeypatch):
+    """One grand-assist ORBGRAND block calls the PHY stages and the decoder
+    through `link`'s attributes in a fixed order: the benchmark's tracer
+    times each call as a span of its layer (DECISIONS.md, D6)."""
+    calls = []
+    for name in ("bpsk_modulate", "propagate", "equalize", "hard_demod", "effective_noise_variance",
+                 "compute_llrs", "orbgrand_decode"):
+        def recorded(*args, _name=name, _seam=getattr(link, name), **kwargs):
+            calls.append(_name)
+            return _seam(*args, **kwargs)
+        monkeypatch.setattr(link, name, recorded)
+    cfg = ScenarioConfig(scenario="grand-assist", decoder="orbgrand", channel="rayleigh", ebn0_db=10.0)
+    trials = 3
+    run_trial(cfg, [derive_trial_rng(13, 0, i) for i in range(trials)])
+    receive = ["equalize", "hard_demod", "effective_noise_variance", "compute_llrs"]
+    receive += ["orbgrand_decode"] * trials
+    assert calls == (["bpsk_modulate"] * 2 + ["propagate"] * 2 + receive
+                     + receive + ["bpsk_modulate", "propagate"] + receive)
+
+
 def test_run_trial_rejects_an_empty_block():
     with pytest.raises(ValueError):
         run_trial(ScenarioConfig(), [])
@@ -420,8 +440,8 @@ def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkey
         return original(word, *args, **kwargs)
 
     monkeypatch.setattr(link, decoder, counted)
-    codewords, queries, abandoned = _decode(words, y, channel, cfg, amplitude=0.7,
-                                            interferer_power=0.2, enabled=True)
+    codewords, queries, abandoned = _decode(y, channel, cfg, alpha=0.49,
+                                            interferer_alpha=0.2, enabled=True)
     assert np.array_equal(calls, words.reshape(-1, n))
     assert codewords.shape == words.shape and queries.shape == abandoned.shape == (3, 11)
     llrs = compute_llrs(y, 0.7, effective_noise_variance(cfg.sigma2, channel, 0.2)).reshape(-1, n)
@@ -452,9 +472,11 @@ def test_block_decode_rejects_nan_llrs_of_a_codeword():
     cfg = ScenarioConfig(scenario="grand", decoder="orbgrand", channel="awgn")
     code = get_code(cfg.crc)
     y = _mixed_block(cfg.crc, (4,), seed=5)
+    # `_decode` takes hard decisions itself, and a NaN sample decides bit 0,
+    # so the NaN goes on a bit-0 sample for word 0 to stay a codeword
+    y[0, np.flatnonzero(y[0] > 0)[0]] = np.nan
     words = hard_demod(y)
     assert code.check(words[0])
-    y[0, 7] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        _decode(words, y, awgn_channel(cfg.crc.codeword_len), cfg, amplitude=1.0,
-                interferer_power=0.0, enabled=True)
+        _decode(y, awgn_channel(cfg.crc.codeword_len), cfg, alpha=1.0,
+                interferer_alpha=0.0, enabled=True)
