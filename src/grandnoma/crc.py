@@ -97,10 +97,7 @@ class CrcCode:
         word = np.asarray(word)
         if word.shape != (self.spec.codeword_len,):
             raise ValueError(f"expected word of length {self.spec.codeword_len}, got {word.shape}")
-        picked = self.position_syndrome_array[word != 0]
-        if picked.size == 0:
-            return 0
-        return int(np.bitwise_xor.reduce(picked))
+        return int(np.bitwise_xor.reduce(self.position_syndrome_array.compress(word)))  # 0 for no set bit
 
     def check(self, word: np.ndarray) -> bool:
         return self.syndrome(word) == 0

@@ -69,7 +69,7 @@ def _check_query_budget(query_budget: int | None) -> None:
 
 
 def _check_orb_caps(max_logistic_weight: int | None, max_hamming_weight: int | None) -> None:
-    if any(cap is not None and cap < 0 for cap in (max_logistic_weight, max_hamming_weight)):
+    if (max_logistic_weight or 0) < 0 or (max_hamming_weight or 0) < 0:  # None is no cap
         raise ValueError("budgets must be nonnegative")
 
 
@@ -194,8 +194,8 @@ class _OrbOrder:
     def __init__(self, n: int, max_hamming_weight: int):
         self._n, self._cap = n, max_hamming_weight
         self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
-        self.cols = np.zeros((1, 1), np.min_scalar_type(n))  # the empty guess's column
-        self.last = np.zeros(1, self.cols.dtype)
+        self.cols = np.zeros((1, 1), np.intp)  # the empty guess's column; intp gathers without a cast
+        self.last = np.zeros(1, np.min_scalar_type(n))
         self.parent = np.zeros(1, np.int32)
         self.filled = self._dense = 1  # queries filled, and those with whole columns
         self._weight_end = [1]
@@ -368,8 +368,8 @@ _LEADERS: dict[CrcSpec, _SyndromeLeaders] = {}
 
 def _apply_pattern(word: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     codeword = word.copy()
-    if pattern:
-        codeword[list(pattern)] ^= 1
+    for position in pattern:
+        codeword[position] ^= 1
     return codeword
 
 
@@ -423,7 +423,7 @@ def orbgrand_decode(
     _check_orb_caps(max_logistic_weight, max_hamming_weight)
     target = code.syndrome(word)
     if target == 0:
-        if np.isnan(llrs).any():
+        if math.isnan(llrs @ llrs):  # a sum of squares is NaN only for a NaN term
             raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
     positions = rank_by_reliability(llrs)

@@ -222,7 +222,7 @@ def draw_trial(
     k = cfg.crc.message_len
     m = cfg.crc.codeword_len  # BPSK: one bit per symbol
     fading = cfg.channel == "rayleigh"
-    raw = np.empty((trials, k), dtype=np.uint64)
+    raw = np.empty((trials, k), dtype="<u8")  # little-endian, so that each word views as (low, high) halves
     other = {}  # message bits of the trials whose bit generator is not Philox
     z = np.empty((trials, 4 if fading else 2, 2, m))  # (trial, part, real/imaginary, symbol)
     for b, r in enumerate(rngs):
@@ -235,7 +235,7 @@ def draw_trial(
         else:
             r.standard_normal(out=z[b])
     # the top bits of the low and the high half of each word
-    u = ((raw[..., None] >> np.array([31, 63], dtype=np.uint64)) & 1).astype(np.uint8).reshape(trials, 2 * k)
+    u = (raw.view("<u4") >> 31).astype(np.uint8)
     for b, bits in other.items():
         u[b] = bits
     n = np.sqrt(cfg.sigma2 / 2.0) * (z[:, -2:, 0] + 1j * z[:, -2:, 1])

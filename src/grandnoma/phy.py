@@ -98,10 +98,11 @@ def draw_fading(rng: np.random.Generator, z: np.ndarray, users: int) -> None:
     `GAIN_FLOOR`, read at call time, and every later part moves up by as
     many.  Without a redraw one normal draw fills `z`: normals keep no state
     between calls, so it gives the numbers of a call per part
-    (DECISIONS.md, D6).
+    (DECISIONS.md, D6).  As |h| >= max(|re|, |im|) / sqrt(2), gain normals all
+    of magnitude >= 2 * GAIN_FLOOR pass; only otherwise are gains tested (D18).
     """
     rng.standard_normal(out=z)
-    if np.abs(fading_gains(z[:users])).min() >= GAIN_FLOOR:
+    if np.abs(z[:users]).min() >= 2 * GAIN_FLOOR:
         return
     user = 0
     while user < users:

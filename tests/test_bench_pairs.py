@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -12,35 +13,57 @@ _spec.loader.exec_module(bench_pairs)
 def test_summary_counts_ties_for_neither_side():
     parent = [100.0, 102.0, 98.0, 101.0, 99.0]
     change = [110.0, 102.0, 97.0, 120.0, 105.0]
-    s = bench_pairs.summarize(parent, change, "higher")
+    s = bench_pairs.summarize(parent, change, "higher", 0.2)
     assert (s["wins"], s["losses"], s["ties"], s["pairs"]) == (3, 1, 1, 5)
     assert s["parent"] == {"median": 100.0, "q1": 99.0, "q3": 101.0}
     assert s["change"] == {"median": 105.0, "q1": 102.0, "q3": 110.0}
     assert s["ratio"] == pytest.approx(1.05)
     assert not s["gain"]  # 3 of 5 wins is below nine tenths
-    flipped = bench_pairs.summarize(parent, change, "lower")
+    flipped = bench_pairs.summarize(parent, change, "lower", 0.2)
     assert (flipped["wins"], flipped["losses"], flipped["ties"]) == (1, 3, 1)
 
 
 def test_gain_rule_needs_nine_tenths_and_more_than_the_parent_iqr():
     parent = [10.0 + i for i in range(10)]  # median 14.5, quartiles 12.25 and 16.75
-    assert bench_pairs.summarize(parent, [p + 4.6 for p in parent], "higher")["gain"]
+    assert bench_pairs.summarize(parent, [p + 4.6 for p in parent], "higher", 0.2)["gain"]
     # every pair wins, but the medians differ by less than the parent's IQR of 4.5
-    assert not bench_pairs.summarize(parent, [p + 4.4 for p in parent], "higher")["gain"]
+    assert not bench_pairs.summarize(parent, [p + 4.4 for p in parent], "higher", 0.2)["gain"]
     # 9 of 10 wins with one tie is enough
-    assert bench_pairs.summarize(parent, [p - 5.0 for p in parent[:9]] + [parent[9]], "lower")["gain"]
+    assert bench_pairs.summarize(parent, [p - 5.0 for p in parent[:9]] + [parent[9]], "lower", 0.2)["gain"]
     # 8 wins of 10 is not
     change = [p - 5.0 for p in parent[:8]] + parent[8:]
-    assert not bench_pairs.summarize(parent, change, "lower")["gain"]
+    assert not bench_pairs.summarize(parent, change, "lower", 0.2)["gain"]
+
+
+def test_bound_check_flags_a_median_worse_by_more_than_the_bound():
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5]  # median 100, IQR 1
+    s = bench_pairs.summarize(parent, [p - 19.0 for p in parent], "higher", 0.2)
+    assert (s["worse"], s["unresolved"], s["bound"]) == (False, False, 0.2)
+    assert s["parent_spread"] == pytest.approx(0.01)
+    assert bench_pairs.summarize(parent, [p - 21.0 for p in parent], "higher", 0.2)["worse"]
+    # for a lower-is-better metric, a rise is the worsening
+    assert bench_pairs.summarize(parent, [p + 11.0 for p in parent], "lower", 0.1)["worse"]
+    assert not bench_pairs.summarize(parent, [p - 50.0 for p in parent], "lower", 0.1)["worse"]
+
+
+def test_bound_check_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    parent = [80.0, 90.0, 100.0, 110.0, 120.0]  # median 100, IQR 20
+    s = bench_pairs.summarize(parent, parent[::-1], "higher", 0.1)
+    assert s["parent_spread"] == pytest.approx(0.2)
+    assert s["unresolved"] and not s["worse"]
+    assert not bench_pairs.summarize(parent, parent, "higher", 0.25)["unresolved"]
+    # unless every run of the change beats every run of the parent
+    assert not bench_pairs.summarize(parent, [p + 41.0 for p in parent], "higher", 0.1)["unresolved"]
+    assert bench_pairs.summarize(parent, [p + 39.0 for p in parent], "higher", 0.1)["unresolved"]
 
 
 def test_summary_rejects_unpaired_runs():
     with pytest.raises(ValueError):
-        bench_pairs.summarize([1.0, 2.0], [1.0], "higher")
+        bench_pairs.summarize([1.0, 2.0], [1.0], "higher", 0.2)
     with pytest.raises(ValueError):
-        bench_pairs.summarize([], [], "higher")
+        bench_pairs.summarize([], [], "higher", 0.2)
     with pytest.raises(ValueError):
-        bench_pairs.summarize([1.0], [2.0], "faster")
+        bench_pairs.summarize([1.0], [2.0], "faster", 0.2)
 
 
 def test_same_program_compares_the_package_sources(tmp_path):
@@ -56,3 +79,27 @@ def test_same_program_compares_the_package_sources(tmp_path):
     (b / "src" / "grandnoma" / "link.py").write_text("x = 1\n")
     (b / "src" / "grandnoma" / "phy.py").write_text("")
     assert not bench_pairs.same_program(a, b)
+
+
+def test_main_prints_each_metric_against_its_declared_bound(monkeypatch, capsys):
+    """With the runs stubbed, every end-to-end metric of BENCHMARK.json gets a
+    line with its bound and verdict; a noisy parent reads "unresolved"."""
+    declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    noisy = iter([50.0, 100.0, 150.0, 100.0])  # the parent's trials_per_s spreads wider than 20%
+    def run_once(root, workload, seed, seconds):
+        values = {m["name"]: 1.0 for m in declared}
+        if root != bench_pairs.ROOT:
+            values["trials_per_s"] = next(noisy)
+        else:
+            values["trials_per_s"], values["point_s"] = 100.0, 1.5  # point_s 50% slower
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}}
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "same_program", lambda a, b: False)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--workload", "w", "--parent", "HEAD", "--pairs", "4"]) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("w ")}
+    for m in declared:
+        assert f"bound {m['bound']:.0%}: " in lines[m["name"]]
+    assert "within the bound, unresolved (parent IQR/median 0.250)" in lines["trials_per_s"]
+    assert "worse by more than the bound" in lines["point_s"]
+    assert lines["setup_s"].endswith("within the bound")

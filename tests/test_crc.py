@@ -42,6 +42,16 @@ def test_zero_message_encodes_to_zero_codeword():
     assert crc_check(word, CRC12)
 
 
+def test_syndrome_is_a_python_int_and_zero_for_no_set_bit():
+    code = get_code(CRC12)
+    zero = code.syndrome(np.zeros(128, dtype=np.uint8))
+    assert type(zero) is int and zero == 0
+    one = np.zeros(128, dtype=np.uint8)
+    one[-1] = 1
+    last = code.syndrome(one)
+    assert type(last) is int and last == 1  # x^0 is its own remainder
+
+
 def test_encode_check_roundtrip_and_systematic():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -207,6 +207,28 @@ def test_orb_decoder_checks_the_llrs_of_a_codeword():
         orbgrand_decode(word, np.ones(127), code)
 
 
+def test_decoder_entry_checks_stay_exact():
+    """Infinite LLRs of both signs are valid: a codeword holding them decodes
+    at query 1, where a sum-based NaN test would see inf - inf.  A NaN
+    raises on a codeword and on a word that fails the CRC alike."""
+    code = get_code(CRC12)
+    rng = np.random.default_rng(8)
+    word = crc_encode(rng.integers(0, 2, 116).astype(np.uint8), CRC12)
+    llrs = rng.normal(size=128)
+    llrs[[3, 50]] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(llrs.sum())
+    result = orbgrand_decode(word, llrs, code)
+    assert (result.queries, result.abandoned, result.error_pattern) == (1, False, ())
+    failing = word.copy()
+    failing[[10, 90]] ^= 1
+    assert code.syndrome(failing) != 0
+    llrs[20] = np.nan
+    for w in (word, failing):
+        with pytest.raises(ValueError, match="NaN"):
+            orbgrand_decode(w, llrs, code)
+
+
 def test_decode_result_invariants():
     code = get_code(CRC12)
     rng = np.random.default_rng(4)

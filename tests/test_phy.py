@@ -15,10 +15,10 @@ from grandnoma import (
     rayleigh_channel,
     superimpose,
 )
-from grandnoma import phy
+from grandnoma import ScenarioConfig, phy
 from grandnoma.phy import ChannelRealization
 
-from oracles import apply_channel
+from oracles import apply_channel, draw_trial_by_parts
 
 SQ34 = np.sqrt(0.75)  # 0.8660...
 
@@ -240,3 +240,55 @@ def test_fading_redraws_like_one_call_per_part(users, parts, monkeypatch):
                 assert np.array_equal(phy.fading_gains(z[p]), gains)
         assert rng.standard_normal() == ref.standard_normal()
     assert redraws > 40
+
+
+class _ChosenNormals:
+    """A stand-in generator that hands out `values` in order as its normals,
+    counts how many it has handed out, and draws all-zero integers."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def standard_normal(self, size=None, out=None):
+        count = out.size if out is not None else int(np.prod(size))
+        drawn = self.values[self.used:self.used + count]
+        self.used += count
+        if out is None:
+            return drawn.reshape(size)
+        out[...] = drawn.reshape(out.shape)
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("symbol, exact, redraws", [
+    ((-2.0, 2.0), False, 0),  # every normal at least 2 * floor: the guard passes
+    ((1.5, 0.0), True, 0),  # the guard fails, but the gain is about 1.06 * floor
+    ((1.3, 0.0), True, 1),  # the gain is about 0.92 * floor: user 2's gains are redrawn
+    ((0.9, 0.9), True, 1),  # no normal is zero, but the gain is 0.9 * floor
+])
+def test_fading_guard_boundary(symbol, exact, redraws, monkeypatch):
+    """One symbol of user 2's gain normals, in units of the floor, decides
+    whether the exact gain test runs and whether it redraws; either way `z`
+    and the normals used are those of `draw_trial_by_parts`."""
+    floor = 0.25
+    monkeypatch.setattr(phy, "GAIN_FLOOR", floor)
+    cfg = ScenarioConfig(channel="rayleigh")
+    m = cfg.crc.codeword_len
+    base = np.random.default_rng(3)
+    values = base.choice([-1.0, 1.0], 10 * m) * base.uniform(2.0, 5.0, 10 * m) * floor
+    values[2 * m + 7], values[3 * m + 7] = symbol[0] * floor, symbol[1] * floor  # user 2, symbol 7
+    exact_calls = []
+    fading_gains = phy.fading_gains
+    monkeypatch.setattr(phy, "fading_gains", lambda z: exact_calls.append(1) or fading_gains(z))
+
+    rng, ref = _ChosenNormals(values), _ChosenNormals(values)
+    z = np.empty((4, 2, m))
+    phy.draw_fading(rng, z, users=2)
+    _, _, g1, g2, n1, n2 = draw_trial_by_parts(cfg, ref)
+    assert bool(exact_calls) == exact
+    assert rng.used == ref.used == (8 + 2 * redraws) * m
+    assert np.array_equal(fading_gains(z[0]), g1) and np.array_equal(fading_gains(z[1]), g2)
+    scale = np.sqrt(cfg.sigma2 / 2.0)
+    assert np.array_equal(scale * (z[2, 0] + 1j * z[2, 1]), n1)
+    assert np.array_equal(scale * (z[3, 0] + 1j * z[3, 1]), n2)

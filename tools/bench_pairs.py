@@ -10,7 +10,12 @@ every end-to-end metric that `BENCHMARK.json` declares, the summary gives
 each side's median and quartiles and the change's wins, losses and ties
 (a tie counts for neither side).  It also says whether the gain rule holds:
 the change wins at least nine tenths of the pairs, and its median beats the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range.  And it checks the
+metric's `bound` from `BENCHMARK.json`, a fraction of the parent's median:
+the change is "worse" when its median is worse than the parent's by more
+than that, and "unresolved" when the parent's interquartile range over its
+median already exceeds it, unless every run of the change beats every run
+of the parent.  `BENCHMARK.json` is only read.
 
 `--parent` is required: `HEAD` compares uncommitted changes with the last
 commit, and once the change is committed its parent is `HEAD~1`.  The run
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import subprocess
 import sys
 import tarfile
@@ -34,11 +40,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles, win counts and the gain rule for one metric.
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Medians, quartiles, win counts, the gain rule and the bound check for
+    one metric.
 
     `parent[i]` and `change[i]` are the two runs of pair i; `better` is
-    "higher" or "lower".  Quartiles are numpy's linear percentiles.
+    "higher" or "lower"; `bound` is the worsening the benchmark allows, as a
+    fraction of the parent's median.  Quartiles are numpy's linear
+    percentiles.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero run counts, got {len(parent)} and {len(change)}")
@@ -50,6 +59,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     margins = [sign * (c - p) for p, c in zip(parent, change)]
     wins = sum(d > 0 for d in margins)
     losses = sum(d < 0 for d in margins)
+    spread = (p_q3 - p_q1) / abs(p_med) if p_med else math.inf
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "better": better,
         "pairs": len(parent),
@@ -60,6 +71,10 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "ties": len(parent) - wins - losses,
         "ratio": c_med / p_med if p_med else None,
         "gain": wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1,
+        "bound": bound,
+        "parent_spread": spread,
+        "worse": sign * (c_med - p_med) < -bound * abs(p_med),
+        "unresolved": spread > bound and not every_run_better,
     }
 
 
@@ -121,13 +136,16 @@ def main(argv: list[str] | None = None) -> int:
     for m in declared:
         name = m["name"]
         parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change"))
-        summary[name] = s = summarize(parent, change, m["better"])
+        summary[name] = s = summarize(parent, change, m["better"], m["bound"])
         p, c = s["parent"], s["change"]
+        verdict = "worse by more than the bound" if s["worse"] else "within the bound"
+        if s["unresolved"]:
+            verdict += f", unresolved (parent IQR/median {s['parent_spread']:.3f})"
         print(f"{args.workload} {name} [{m['unit']}, {m['better']} is better]: "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], ratio {s['ratio']:.3f}, "
               f"wins {s['wins']}/{s['pairs']} (losses {s['losses']}, ties {s['ties']}), gain rule "
-              f"{'met' if s['gain'] else 'not met'}")
+              f"{'met' if s['gain'] else 'not met'}, bound {s['bound']:.0%}: {verdict}")
     failed = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
     print(f"{args.workload} runs not correct: parent {failed['parent']}, change {failed['change']}")
     if args.out:
