@@ -35,6 +35,15 @@ from .theory import (
 )
 
 
+# sweep command -> (its `run_sweep` axis, help); a command that sweeps an
+# axis other than ebn0 takes its values from --<axis>-list at one Eb/N0 point
+SWEEPS = {
+    "sweep-snr": ("ebn0", "BER/BLER vs Eb/N0"),
+    "sweep-power": ("alpha1", "BER/BLER vs power allocation alpha1"),
+    "sweep-distance": ("d1", "BER/BLER vs near-user distance d1"),
+}
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in str(text).replace(",", " ").split()]
@@ -62,19 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-snr", help="BER/BLER vs Eb/N0")
-    _add_common(p)
-    p.add_argument("--ebn0", type=_float_list, help="Eb/N0 points in dB, e.g. '0,2,4'")
-
-    p = sub.add_parser("sweep-power", help="BER/BLER vs power allocation alpha1")
-    _add_common(p)
-    p.add_argument("--ebn0", type=_float_list, help="single Eb/N0 point in dB")
-    p.add_argument("--alpha1-list", type=_float_list, required=True)
-
-    p = sub.add_parser("sweep-distance", help="BER/BLER vs near-user distance d1")
-    _add_common(p)
-    p.add_argument("--ebn0", type=_float_list, help="single Eb/N0 point in dB")
-    p.add_argument("--d1-list", type=_float_list, required=True)
+    for command, (axis, text) in SWEEPS.items():
+        p = sub.add_parser(command, help=text)
+        _add_common(p)
+        if axis == "ebn0":
+            p.add_argument("--ebn0", type=_float_list, help="Eb/N0 points in dB, e.g. '0,2,4'")
+        else:
+            p.add_argument("--ebn0", type=_float_list, help="single Eb/N0 point in dB")
+            p.add_argument(f"--{axis}-list", type=_float_list, required=True)
 
     p = sub.add_parser("analyze", help="theoretical BER curves and BLER bound")
     _add_common(p)
@@ -104,8 +108,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]]:
-    """Merge defaults < config file < flags into a ScenarioConfig plus the
-    Eb/N0 list."""
+    """Merge defaults < config file < flags into a ScenarioConfig at the first
+    Eb/N0 point, plus the Eb/N0 list."""
     merged = _load_config_file(args.config) if args.config else {}
     for key, dest, _, kind, lowest, _ in CONFIG_KEYS:
         if getattr(args, dest, None) is not None:
@@ -118,10 +122,9 @@ def _build_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[float]
     ebn0_list = [float(v) for v in (ebn0 if isinstance(ebn0, list) else [ebn0])]
 
     kwargs = {field: merged[dest] for _, dest, field, *_ in CONFIG_KEYS if field and dest in merged}
-    cfg = ScenarioConfig(crc=crc, **kwargs)
     if ebn0_list:
-        cfg = cfg.at(ebn0_db=ebn0_list[0])
-    return cfg, ebn0_list
+        kwargs["ebn0_db"] = ebn0_list[0]
+    return ScenarioConfig(crc=crc, **kwargs), ebn0_list
 
 
 class _Flusher:
@@ -162,17 +165,13 @@ def _progress(args: argparse.Namespace, message: str) -> None:
 
 
 def _run_simulation_sweep(args: argparse.Namespace) -> int:
+    axis = SWEEPS[args.command][0]
     cfg, ebn0_list = _build_config(args)
     if not ebn0_list:
         raise ConfigError(f"ebn0_db_list: {args.command} requires --ebn0")
-    if args.command != "sweep-snr" and len(ebn0_list) > 1:
+    if axis != "ebn0" and len(ebn0_list) > 1:
         raise ConfigError(f"ebn0_db_list: {args.command} takes a single Eb/N0 point, got {ebn0_list}")
-    if args.command == "sweep-snr":
-        axis, values = "ebn0", ebn0_list
-    elif args.command == "sweep-power":
-        axis, values = "alpha1", args.alpha1_list
-    else:
-        axis, values = "d1", args.d1_list
+    values = ebn0_list if axis == "ebn0" else getattr(args, f"{axis}_list")
     flusher = _Flusher(args.format, args.out)
 
     def on_point(pair: list[SweepRecord]) -> None:
@@ -191,21 +190,22 @@ def _run_simulation_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
+    if args.theory_samples < 1:
+        raise ConfigError(f"--theory-samples must be >= 1, got {args.theory_samples}")
+    if not 0.0 <= args.p_ue <= 1.0:
+        raise ConfigError(f"--p-ue must lie in [0,1], got {args.p_ue}")
     cfg, ebn0_list = _build_config(args)
     if not ebn0_list:
         raise ConfigError("ebn0_db_list: analyze requires --ebn0")
     n = cfg.crc.codeword_len
     l1 = path_loss(cfg.d1, cfg.xi)
     l2 = path_loss(cfg.d2, cfg.xi)
+    rayleigh = cfg.channel == "rayleigh"
+    sampler = (rayleigh_gain_sampler if rayleigh else awgn_gain_sampler)(n, l1, l2)
+    n_samples = args.theory_samples if rayleigh else 1  # AWGN's sampler is deterministic
     flusher = _Flusher(args.format, args.out)
     for value in ebn0_list:
         point = cfg.at(ebn0_db=float(value))
-        if cfg.channel == "rayleigh":
-            sampler = rayleigh_gain_sampler(n, l1, l2)
-            n_samples = args.theory_samples
-        else:
-            sampler = awgn_gain_sampler(n, l1, l2)
-            n_samples = 1
         inputs = TheoryInputs(
             alpha1=point.alpha1, alpha2=point.alpha2, power=point.power,
             sigma2=point.sigma2, codeword_len=n, p_ue=args.p_ue,
@@ -283,15 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("sweep-snr", "sweep-power", "sweep-distance"):
+        if args.command in SWEEPS:
             return _run_simulation_sweep(args)
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_selfcheck(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

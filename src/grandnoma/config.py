@@ -4,27 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 from .crc import CrcSpec
 from .phy import ebn0_to_sigma2
-
-__all__ = [
-    "ConfigError",
-    "ScenarioConfig",
-    "DEFAULT_CRC",
-    "SCENARIO_PURE",
-    "SCENARIO_GRAND",
-    "SCENARIO_GRAND_ASSIST",
-    "SCENARIOS",
-    "DECODER_GRAND",
-    "DECODER_ORBGRAND",
-    "DECODERS",
-    "CHANNELS",
-    "CONFIG_KEYS",
-    "check_value",
-]
 
 SCENARIO_PURE = "pure"
 SCENARIO_GRAND = "grand"
@@ -145,12 +130,17 @@ class ScenarioConfig:
         if self.grand_max_weight > self.crc.codeword_len:
             raise ConfigError(f"grand.max_weight out of range: {self.grand_max_weight}")
         if self.alpha1 >= 0.5:
+            # name the caller's line, past `at()` and `replace` when they built this copy
+            here = sys._getframe()
+            level, frame = 3, here.f_back.f_back
+            while frame.f_code.co_filename in (here.f_code.co_filename, replace.__code__.co_filename):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"alpha1 = {self.alpha1} >= 0.5: sign-based SIC is meaningless here, because the "
                 "sign of the superposed symbol no longer follows the far user's layer "
                 "(DECISIONS.md, D1)",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=level,
             )
 
     @property

@@ -18,8 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CrcSpec", "CrcCode", "koopman_to_normal", "crc_encode", "crc_check", "get_code"]
-
 
 @dataclass(frozen=True)
 class CrcSpec:

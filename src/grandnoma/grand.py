@@ -35,16 +35,6 @@ import numpy as np
 
 from .crc import CrcCode, CrcSpec
 
-__all__ = [
-    "DecodeResult",
-    "hard_pattern_stream",
-    "rank_by_reliability",
-    "orb_pattern_stream",
-    "grand_decode",
-    "hard_grand_decode",
-    "orbgrand_decode",
-]
-
 _FIRST_CHUNK = 128  # queries per syndrome chunk at the start of a search or a scan ...
 _MAX_CHUNK = 4096  # ... doubling up to this
 _DENSE = 1 + 3 * _FIRST_CHUNK  # queries 1..385: an ORBGRAND search's first two chunks

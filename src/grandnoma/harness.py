@@ -34,17 +34,6 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig
 from .link import OUTCOME, run_trial
 
-__all__ = [
-    "SweepRecord",
-    "CSV_FIELDS",
-    "WORKERS_ENV_VAR",
-    "derive_trial_rng",
-    "run_point",
-    "run_sweep",
-    "write_records",
-    "read_records_csv",
-]
-
 WORKERS_ENV_VAR = "GRANDNOMA_WORKERS"
 
 # Trials per `run_trial` call.  Speed is flat from 16 to 64; larger blocks

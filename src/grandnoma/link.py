@@ -52,18 +52,6 @@ from .phy import (
     superimpose,
 )
 
-__all__ = [
-    "TrialDraw",
-    "OUTCOME",
-    "transmit",
-    "receive_user2",
-    "sic_user1",
-    "receive_user1",
-    "draw_trial",
-    "simulate_trial",
-    "run_trial",
-]
-
 
 @dataclass
 class TrialDraw:

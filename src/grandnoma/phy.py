@@ -19,24 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SingularChannelError",
-    "ChannelRealization",
-    "path_loss",
-    "awgn_channel",
-    "rayleigh_channel",
-    "fading_gains",
-    "draw_fading",
-    "bpsk_modulate",
-    "superimpose",
-    "propagate",
-    "equalize",
-    "hard_demod",
-    "compute_llrs",
-    "effective_noise_variance",
-    "ebn0_to_sigma2",
-]
-
 GAIN_FLOOR = 1e-12
 
 

@@ -19,16 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "TheoryInputs",
-    "q_function",
-    "awgn_gain_sampler",
-    "rayleigh_gain_sampler",
-    "ber_user1",
-    "ber_user2",
-    "bler_upper_bound",
-]
-
 # sampler(rng, size) -> (||H1 s1||^2, ||H1 s2||^2, ||H2 s2||^2) realizations
 GainSampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 

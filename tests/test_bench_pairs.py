@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,24 @@ def test_same_program_compares_the_package_sources(tmp_path):
     assert not bench_pairs.same_program(a, b)
 
 
+def test_export_of_the_checkout_copies_its_tracked_files_as_they_stand(tmp_path, monkeypatch):
+    """The change side is the working tree: an uncommitted edit is exported,
+    an untracked file and a deleted tracked file are not."""
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "src").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    (repo / "src" / "link.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("")
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "src" / "link.py").write_text("x = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "untracked.py").write_text("")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export(None, dest)
+    assert [p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()] == ["src/link.py"]
+    assert (dest / "src" / "link.py").read_text() == "x = 2\n"
+
+
 def test_main_prints_each_metric_against_its_declared_bound(monkeypatch, capsys):
     """With the runs stubbed, every end-to-end metric of BENCHMARK.json gets a
     line with its bound and verdict; a noisy parent reads "unresolved"."""
@@ -88,7 +107,7 @@ def test_main_prints_each_metric_against_its_declared_bound(monkeypatch, capsys)
     noisy = iter([50.0, 100.0, 150.0, 100.0])  # the parent's trials_per_s spreads wider than 20%
     def run_once(root, workload, seed, seconds):
         values = {m["name"]: 1.0 for m in declared}
-        if root != bench_pairs.ROOT:
+        if root.name == "parent":
             values["trials_per_s"] = next(noisy)
         else:
             values["trials_per_s"], values["point_s"] = 100.0, 1.5  # point_s 50% slower

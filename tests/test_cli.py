@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -91,6 +94,32 @@ def test_analyze_records_match_golden(tmp_path):
             t.ANALYZE_GOLDEN.write_text(t.analyze_csv(pathlib.Path(tempfile.mkdtemp())))"
     """
     assert analyze_csv(tmp_path).splitlines() == ANALYZE_GOLDEN.read_text().splitlines()
+
+
+HELP_GOLDEN = Path(__file__).parent / "golden" / "help.txt"
+HELP_COMMANDS = ["", "sweep-snr", "sweep-power", "sweep-distance", "analyze", "selfcheck"]
+
+
+def help_text() -> str:
+    """`grandnoma --help` and each subcommand's `--help` at 80 columns, each
+    under the command line that prints it."""
+    texts = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for command in HELP_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+                build_parser().parse_args([*command.split(), "--help"])
+            texts.append(f"$ grandnoma {command + ' ' if command else ''}--help\n{out.getvalue()}")
+    return "\n".join(texts)
+
+
+def test_help_texts_match_golden():
+    """Every help text, pinned byte for byte (argparse's layout, so a new
+    Python version may move it).  Regenerate only on purpose:
+
+        PYTHONPATH=src:tests python -c "import test_cli as t; t.HELP_GOLDEN.write_text(t.help_text())"
+    """
+    assert help_text() == HELP_GOLDEN.read_text()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -263,6 +292,23 @@ def test_analyze_checks_out_before_any_point(monkeypatch, capsys):
     monkeypatch.setattr(cli, "ber_user1", lambda *args: computed.append(args))
     assert run_cli(["analyze", "--ebn0", "0 8 16", "--channel", "rayleigh", "--out", "/nonexistent/x.csv"]) == 1
     assert "cannot write records" in capsys.readouterr().err
+    assert computed == []
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("flag,value", [
+    ("--theory-samples", "0"), ("--theory-samples", "-3"),
+    ("--p-ue", "-0.1"), ("--p-ue", "1.5"), ("--p-ue", "nan"),
+])
+def test_analyze_checks_its_own_flags_before_out_and_any_point(monkeypatch, capsys, channel, flag, value):
+    """A bad --theory-samples or --p-ue stops `analyze` before it checks
+    --out or computes a point, on AWGN (which takes one sample) too, and
+    the error names the flag."""
+    computed = []
+    monkeypatch.setattr(cli, "ber_user1", lambda *args: computed.append(args))
+    args = ["analyze", "--ebn0", "0 8", "--channel", channel, "--out", "/nonexistent/x.csv", flag, value]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
     assert computed == []
 
 

@@ -465,6 +465,18 @@ def test_sign_sic_warning_at_or_above_equal_power(alpha1):
         ScenarioConfig(alpha1=alpha1)
 
 
+def test_sign_sic_warning_names_the_callers_line():
+    """Whether the config is built directly or by `at()`, the warning points
+    at the line that asked for it, not into the config or dataclasses code."""
+    with pytest.warns(UserWarning, match="sign-based SIC") as direct:
+        ScenarioConfig(alpha1=0.6)
+    base = ScenarioConfig()
+    with pytest.warns(UserWarning, match="sign-based SIC") as copied:
+        base.at(alpha1=0.6)
+    assert [w.filename for w in direct] == [__file__]
+    assert [w.filename for w in copied] == [__file__]
+
+
 def test_no_sign_sic_warning_below_equal_power():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

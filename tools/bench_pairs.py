@@ -3,12 +3,14 @@
     python3 tools/bench_pairs.py --workload assist-rayleigh-distance --parent HEAD~1 \\
         [--pairs 10] [--seed 1] [--seconds 30] [--out pairs.json]
 
-The parent commit is exported with `git archive` into a temporary directory.
-Each pair runs `perfbench/run.py --trace 0` once there and once in this
-checkout, and the side that goes first alternates from pair to pair.  For
-every end-to-end metric that `BENCHMARK.json` declares, the summary gives
-each side's median and quartiles and the change's wins, losses and ties
-(a tie counts for neither side).  It also says whether the gain rule holds:
+The parent commit is exported with `git archive`, and this checkout's
+tracked files as they stand (uncommitted changes included) are copied, each
+into its own temporary directory, so that both sides run from the same kind
+of tree.  Each pair runs `perfbench/run.py --trace 0` once in each, and the
+side that goes first alternates from pair to pair.  For every end-to-end
+metric that `BENCHMARK.json` declares, the summary gives each side's median
+and quartiles and the change's wins, losses and ties (a tie counts for
+neither side).  It also says whether the gain rule holds:
 the change wins at least nine tenths of the pairs, and its median beats the
 parent's by more than the parent's interquartile range.  And it checks the
 metric's `bound` from `BENCHMARK.json`, a fraction of the parent's median:
@@ -29,6 +31,7 @@ import argparse
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -88,8 +91,16 @@ def same_program(a: Path, b: Path) -> bool:
     return files(a) == files(b)
 
 
-def export(rev: str, dest: Path) -> None:
-    """Write the tree of commit `rev` of this repository into `dest`."""
+def export(rev: str | None, dest: Path) -> None:
+    """Write the tree of commit `rev` of this repository into `dest`; for
+    `rev` None, the checkout's tracked files as they stand in it."""
+    if rev is None:
+        names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+        for name in filter(None, names.decode().split("\0")):
+            if (ROOT / name).is_file():  # a tracked file deleted in the checkout is left out
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, dest / name)
+        return
     done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
         tar.extractall(dest, filter="data")
@@ -119,11 +130,12 @@ def main(argv: list[str] | None = None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        export(args.parent, Path(tmp))
-        if same_program(Path(tmp), ROOT):
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.parent, roots["parent"])
+        export(None, roots["change"])
+        if same_program(roots["parent"], roots["change"]):
             parser.error(f"src/grandnoma at {args.parent} is the same as in this checkout; pass the change's parent")
-        roots = {"parent": Path(tmp), "change": ROOT}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
