@@ -6,11 +6,12 @@ Every trial owns an independent random stream derived from
 results are bit-identical for any worker count: trials are executed in fixed
 batches of `trials_per_batch` and batch totals are merged in index order.
 The stopping rule is evaluated on merged batches only.  Within a batch,
-trials run through the link in blocks of `TRIALS_PER_BLOCK`, one vectorized
-pass per block; the records do not depend on the block size.  A batch
-derives the Philox keys of all its trials in one vectorized pass and serves
-every trial from one generator, re-keyed per trial: the same streams as
-`derive_trial_rng` (DECISIONS.md, D5).
+trials run through the link in blocks of `BLOCK_SYMBOLS // codeword_len`
+trials (at least one), one vectorized pass per block, so a block's arrays
+have about the same size for any code length; the records do not depend on
+the block size.  A batch derives the Philox keys of all its trials in one
+vectorized pass and serves every trial from one generator, re-keyed per
+trial: the same streams as `derive_trial_rng` (DECISIONS.md, D5).
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .link import OUTCOME, run_trial
 
 WORKERS_ENV_VAR = "GRANDNOMA_WORKERS"
 
-# Trials per `run_trial` call.  Speed is flat from 16 to 64; larger blocks
-# cost resident memory (DECISIONS.md, D4).
-TRIALS_PER_BLOCK = 32
+# Code symbols per `run_trial` call: 128 trials of the default n = 128 code.
+# Larger blocks cost fewer per-block calls per trial but more resident
+# memory (DECISIONS.md, D4).
+BLOCK_SYMBOLS = 16_384
 
 # sweep axis -> the ScenarioConfig field and record column it sets
 SWEEP_AXES = {"ebn0": "ebn0_db", "alpha1": "alpha1", "d1": "d1"}
@@ -186,8 +188,8 @@ class _TrialStreams:
 def _run_batch(cfg: ScenarioConfig, point_index: int, start: int, count: int) -> Counter:
     keys = _philox_keys(cfg.master_seed, point_index, start, count).tolist()
     rng = np.random.Generator(np.random.Philox())
-    firsts = range(0, count, TRIALS_PER_BLOCK)
-    table = np.concatenate([run_trial(cfg, _TrialStreams(rng, keys[i:i + TRIALS_PER_BLOCK])) for i in firsts])
+    block = max(1, BLOCK_SYMBOLS // cfg.crc.codeword_len)
+    table = np.concatenate([run_trial(cfg, _TrialStreams(rng, keys[i:i + block])) for i in range(0, count, block)])
     return Counter(blocks=len(table), **{name: int(table[name].sum()) for name in OUTCOME.names})
 
 

@@ -122,3 +122,38 @@ def test_main_prints_each_metric_against_its_declared_bound(monkeypatch, capsys)
     assert "within the bound, unresolved (parent IQR/median 0.250)" in lines["trials_per_s"]
     assert "worse by more than the bound" in lines["point_s"]
     assert lines["setup_s"].endswith("within the bound")
+
+
+def test_main_runs_each_named_workload_from_one_export(monkeypatch, capsys, tmp_path):
+    """`--workload` given twice exports the two trees once, runs every pair of
+    each workload in the order named and prints and saves one summary each."""
+    declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    exported, ran = [], []
+    def run_once(root, workload, seed, seconds):
+        ran.append((workload, root.name))
+        value = {"a": 10.0, "b": 20.0}[workload] * (1.5 if root.name == "change" else 1.0)
+        return {"correct": True, "metrics": {m["name"]: {"value": value} for m in declared}}
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append(rev))
+    monkeypatch.setattr(bench_pairs, "same_program", lambda a, b: False)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    argv = ["--workload", "b", "--workload", "a", "--parent", "HEAD", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert exported == ["HEAD", None]
+    assert ran == [("b", "parent"), ("b", "change"), ("b", "change"), ("b", "parent"),
+                   ("a", "parent"), ("a", "change"), ("a", "change"), ("a", "parent")]
+    lines = capsys.readouterr().out.splitlines()
+    for workload, parent in (("a", 10), ("b", 20)):
+        summary = [line for line in lines if line.startswith(f"{workload} trials_per_s ")]
+        assert len(summary) == 1 and f"parent {parent} [{parent}, {parent}]" in summary[0]
+        assert f"{workload} runs not correct: parent 0, change 0" in lines
+    saved = json.loads(out.read_text())["workloads"]
+    assert list(saved) == ["b", "a"]
+    assert saved["a"]["summary"]["trials_per_s"]["ratio"] == pytest.approx(1.5)
+    assert len(saved["b"]["runs"]["change"]) == 2
+
+
+def test_main_rejects_a_workload_named_twice(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "a", "--workload", "a", "--parent", "HEAD"])
+    assert "more than once" in capsys.readouterr().err

@@ -2,13 +2,16 @@ import dataclasses
 import json
 import multiprocessing
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from grandnoma import (
+    DEFAULT_CRC,
     ConfigError,
+    CrcSpec,
     ScenarioConfig,
     derive_trial_rng,
     read_records_csv,
@@ -86,9 +89,9 @@ def test_trial_streams_equal_derived_streams():
 def test_run_batch_across_the_two_word_trial_boundary(block, monkeypatch):
     """A batch whose trials straddle 2**32 counts what run_trial counts on
     the derived generators of the same trials."""
-    monkeypatch.setattr(harness, "TRIALS_PER_BLOCK", block)
     cfg = ScenarioConfig(scenario="grand-assist", decoder="grand", channel="rayleigh",
                          ebn0_db=4.0, master_seed=2**32 + 3)
+    monkeypatch.setattr(harness, "BLOCK_SYMBOLS", block * cfg.crc.codeword_len)
     trials = range(2**32 - 2, 2**32 + 2)
     table = run_trial(cfg, [derive_trial_rng(cfg.master_seed, 2, t) for t in trials])
     want = {"blocks": len(table), **{name: table[name].sum() for name in table.dtype.names}}
@@ -104,18 +107,57 @@ def test_worker_count_does_not_change_records():
     assert records_equal(rec1[0], rec2[0]) and records_equal(rec1[1], rec2[1])
 
 
-@pytest.mark.parametrize("block", [1, 5, 300])
-def test_block_size_does_not_change_records(block, monkeypatch):
+@pytest.mark.parametrize("block, symbols, overrides", [
+    pytest.param(1, 128, {}, id="1"),
+    pytest.param(5, 5 * 128, {}, id="5"),
+    pytest.param(300, 300 * 128, {}, id="300"),
+    # a long code, whose 16,384 symbols are 52 trials, which do not divide the batch
+    pytest.param(52, 16_384, dict(crc=CrcSpec(0x8F3, 300, 312), trials_per_batch=60, min_block_errors=100),
+                 id="n312"),
+    # fewer symbols than one codeword still run one trial per block
+    pytest.param(1, 127, {}, id="below-n"),
+])
+def test_block_size_does_not_change_records(block, symbols, overrides, monkeypatch):
     """Records are the same for any number of trials per vectorized block,
-    with batches that are not multiples of it and a stop inside the run."""
-    cfg = ScenarioConfig(scenario="grand-assist", decoder="orbgrand", channel="rayleigh",
-                         ebn0_db=18.0, d2=1.5, min_block_errors=8, max_blocks=10_000,
-                         trials_per_batch=45, orb_query_budget=5000, master_seed=17)
+    with batches that are not multiples of it and a stop inside the run.  A
+    block is `BLOCK_SYMBOLS // codeword_len` trials of its batch, at least one."""
+    cfg = ScenarioConfig(**{**dict(scenario="grand-assist", decoder="orbgrand", channel="rayleigh",
+                                   ebn0_db=18.0, d2=1.5, min_block_errors=8, max_blocks=10_000,
+                                   trials_per_batch=45, orb_query_budget=5000, master_seed=17), **overrides})
+    batch = cfg.trials_per_batch
+    monkeypatch.setattr(harness, "BLOCK_SYMBOLS", 7 * cfg.crc.codeword_len)
     base = run_point(cfg, 3)
-    monkeypatch.setattr(harness, "TRIALS_PER_BLOCK", block)
+    monkeypatch.setattr(harness, "BLOCK_SYMBOLS", symbols)
+    lengths = []  # the trials of each block handed to run_trial, in call order
+
+    def recorded(cfg, rngs):
+        lengths.append(len(rngs))
+        return run_trial(cfg, rngs)
+    monkeypatch.setattr(harness, "run_trial", recorded)
     other = run_point(cfg, 3)
-    assert base[0].blocks % 45 == 0 and base[0].blocks > 45
+    assert base[0].blocks % batch == 0 and base[0].blocks > batch
     assert records_equal(base[0], other[0]) and records_equal(base[1], other[1])
+    per_batch = [min(block, batch - first) for first in range(0, batch, block)]
+    assert lengths == per_batch * (other[0].blocks // batch)
+
+
+@pytest.mark.parametrize("crc", [DEFAULT_CRC, CrcSpec(0x8F3, 1024, 1036)], ids=["n128", "n1036"])
+def test_batch_memory_is_bounded_by_the_block_symbols(crc):
+    """The symbol budget caps a block's arrays whatever the code length.  A
+    pure Rayleigh batch builds no decoder caches, so its tracemalloc peak is
+    one block's draws and receiver arrays: 2.8 MB at n = 128 and 2.6 MB at
+    n = 1,036 with 16,384 symbols per block, where flat blocks of 32 or 128
+    trials of n = 1,036 peak at 5.6 and 22 MB."""
+    cfg = ScenarioConfig(scenario="pure", channel="rayleigh", ebn0_db=10.0, crc=crc)
+    harness._run_batch(cfg, 0, 0, cfg.trials_per_batch)  # the CRC table and other first-call state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harness._run_batch(cfg, 0, 0, cfg.trials_per_batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_workers_env_var_override(monkeypatch):

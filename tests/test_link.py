@@ -241,6 +241,9 @@ BLOCK_CASES = [
     (dict(scenario="pure", channel="rayleigh", ebn0_db=12.0), 33),
     (dict(scenario="grand-assist", decoder="orbgrand", channel="awgn", ebn0_db=14.0, alpha1=0.6,
           orb_query_budget=2000), 7),
+    # 128 trials are one block of the default code at BLOCK_SYMBOLS = 16,384
+    *[(dict(scenario="grand-assist", decoder="orbgrand", channel="rayleigh", ebn0_db=20.0, d2=1.5), b)
+      for b in (128, 129)],
 ]
 
 

@@ -1,17 +1,19 @@
 """Alternating paired benchmark runs: a parent commit against this checkout.
 
-    python3 tools/bench_pairs.py --workload assist-rayleigh-distance --parent HEAD~1 \\
-        [--pairs 10] [--seed 1] [--seconds 30] [--out pairs.json]
+    python3 tools/bench_pairs.py --workload orb-awgn-14db [--workload hard-awgn-14db ...] \\
+        --parent HEAD~1 [--pairs 10] [--seed 1] [--seconds 30] [--out pairs.json]
 
 The parent commit is exported with `git archive`, and this checkout's
 tracked files as they stand (uncommitted changes included) are copied, each
 into its own temporary directory, so that both sides run from the same kind
 of tree.  Each pair runs `perfbench/run.py --trace 0` once in each, and the
-side that goes first alternates from pair to pair.  For every end-to-end
-metric that `BENCHMARK.json` declares, the summary gives each side's median
-and quartiles and the change's wins, losses and ties (a tie counts for
-neither side).  It also says whether the gain rule holds:
-the change wins at least nine tenths of the pairs, and its median beats the
+side that goes first alternates from pair to pair.  `--workload` may be
+given more than once: every named workload runs its pairs, in the order
+named, from the same two trees, and gets its own summary.  For every
+end-to-end metric that `BENCHMARK.json` declares, the summary gives each
+side's median and quartiles and the change's wins, losses and ties (a tie
+counts for neither side).  It also says whether the gain rule holds: the
+change wins at least nine tenths of the pairs, and its median beats the
 parent's by more than the parent's interquartile range.  And it checks the
 metric's `bound` from `BENCHMARK.json`, a fraction of the parent's median:
 the change is "worse" when its median is worse than the parent's by more
@@ -116,34 +118,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--parent", required=True, help="commit to compare with, e.g. HEAD~1")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        export(args.parent, roots["parent"])
-        export(None, roots["change"])
-        if same_program(roots["parent"], roots["change"]):
-            parser.error(f"src/grandnoma at {args.parent} is the same as in this checkout; pass the change's parent")
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(roots[side], args.workload, args.seed, args.seconds)
-                runs[side].append(result)
-                values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared)
-                print(f"pair {pair + 1} {side:6s} correct={result['correct']} {values}", flush=True)
-
+def report(workload: str, declared: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Print one workload's summary lines and return its summaries by metric."""
     summary = {}
     for m in declared:
         name = m["name"]
@@ -153,16 +129,52 @@ def main(argv: list[str] | None = None) -> int:
         verdict = "worse by more than the bound" if s["worse"] else "within the bound"
         if s["unresolved"]:
             verdict += f", unresolved (parent IQR/median {s['parent_spread']:.3f})"
-        print(f"{args.workload} {name} [{m['unit']}, {m['better']} is better]: "
+        print(f"{workload} {name} [{m['unit']}, {m['better']} is better]: "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], ratio {s['ratio']:.3f}, "
               f"wins {s['wins']}/{s['pairs']} (losses {s['losses']}, ties {s['ties']}), gain rule "
-              f"{'met' if s['gain'] else 'not met'}, bound {s['bound']:.0%}: {verdict}")
+              f"{'met' if s['gain'] else 'not met'}, bound {s['bound']:.0%}: {verdict}", flush=True)
     failed = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
-    print(f"{args.workload} runs not correct: parent {failed['parent']}, change {failed['change']}")
+    print(f"{workload} runs not correct: parent {failed['parent']}, change {failed['change']}", flush=True)
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to run; give it again for more, each with its own summary")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", required=True, help="commit to compare with, e.g. HEAD~1")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    if len(set(args.workload)) != len(args.workload):
+        parser.error(f"--workload names a workload more than once: {args.workload}")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.parent, roots["parent"])
+        export(None, roots["change"])
+        if same_program(roots["parent"], roots["change"]):
+            parser.error(f"src/grandnoma at {args.parent} is the same as in this checkout; pass the change's parent")
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(roots[side], workload, args.seed, args.seconds)
+                    runs[side].append(result)
+                    values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared)
+                    print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} {values}", flush=True)
+            results[workload] = {"summary": report(workload, declared, runs), "runs": runs}
     if args.out:
-        args.out.write_text(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                                        "parent": args.parent, "summary": summary, "runs": runs}, indent=2) + "\n")
+        args.out.write_text(json.dumps({"seed": args.seed, "seconds": args.seconds, "parent": args.parent,
+                                        "workloads": results}, indent=2) + "\n")
     return 0
 
 
