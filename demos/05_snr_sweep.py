@@ -6,8 +6,8 @@ The same sweep is reproducible from the command line:
         --channel awgn --min-block-errors 30 --max-blocks 3000 --seed 7 \
         --out sweep.csv
 
-Records are identical for any --workers value and any GRANDNOMA_WORKERS
-override, because every trial derives its own counter-based random stream.
+Records are identical for any --workers value, because every trial derives
+its own counter-based random stream.
 """
 
 import io

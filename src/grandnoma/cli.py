@@ -21,9 +21,7 @@ import numpy as np
 
 from .config import CONFIG_KEYS, DEFAULT_CRC, ConfigError, ScenarioConfig, check_value
 from .crc import CrcSpec
-from .harness import (
-    CSV_FIELDS, SWEEP_AXES, WORKERS_ENV_VAR, SweepRecord, _record, run_point, run_sweep, write_records,
-)
+from .harness import CSV_FIELDS, SWEEP_AXES, SweepRecord, _record, run_point, run_sweep, write_records
 from .phy import path_loss
 from .theory import (
     TheoryInputs,
@@ -257,16 +255,10 @@ def _run_selfcheck(args: argparse.Namespace) -> int:
     tol = 4.0 * np.sqrt(expect * (1.0 - expect) / n_bits)
     checks.append(("bpsk awgn calibration", abs(ber - expect) <= tol, f"ber={ber:.3e} expect={expect:.3e}"))
 
-    # reproducibility across worker counts on a tiny point; the environment
-    # variable would override both counts, so it is lifted for the two runs
+    # reproducibility across worker counts on a tiny point
     cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=8.0,
                          min_block_errors=5, max_blocks=200, master_seed=11)
-    env_workers = os.environ.pop(WORKERS_ENV_VAR, None)
-    try:
-        one, two = (run_point(cfg.at(workers=w), 0) for w in (1, 2))
-    finally:
-        if env_workers is not None:
-            os.environ[WORKERS_ENV_VAR] = env_workers
+    one, two = (run_point(cfg.at(workers=w), 0) for w in (1, 2))
     same = all(getattr(a, f) == getattr(b, f)
                for a, b in zip(one, two) for f in CSV_FIELDS if f != "wall_time_s")
     checks.append(("worker-count reproducibility", same, ""))

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .crc import CrcSpec
-from .phy import ebn0_to_sigma2
+from .phy import ebn0_to_sigma2, path_loss
 
 SCENARIO_PURE = "pure"
 SCENARIO_GRAND = "grand"
@@ -127,6 +127,17 @@ class ScenarioConfig:
         for key, value in (("P", self.power), ("d1", self.d1), ("d2", self.d2)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        # the noise variance and the path losses must be positive floats
+        for key, what, compute in (("ebn0_db", "noise variance", lambda: self.sigma2),
+                                   ("d1", "path loss", lambda: path_loss(self.d1, self.xi)),
+                                   ("d2", "path loss", lambda: path_loss(self.d2, self.xi))):
+            try:
+                value = compute()
+            except ArithmeticError:
+                value = math.nan
+            if not (math.isfinite(value) and value > 0):
+                xi = f" with xi = {self.xi}" if key != "ebn0_db" else ""
+                raise ConfigError(f"{key} = {getattr(self, key)}{xi} puts the {what} outside the float range")
         if self.grand_max_weight > self.crc.codeword_len:
             raise ConfigError(f"grand.max_weight out of range: {self.grand_max_weight}")
         if self.alpha1 >= 0.5:

@@ -20,13 +20,12 @@ import csv
 import dataclasses
 import json
 import numbers
-import os
 import sys
 import time
 import typing
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -34,8 +33,6 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig
 from .link import OUTCOME, run_trial
-
-WORKERS_ENV_VAR = "GRANDNOMA_WORKERS"
 
 # Code symbols per `run_trial` call: 128 trials of the default n = 128 code.
 # Larger blocks cost fewer per-block calls per trial but more resident
@@ -200,16 +197,16 @@ def _stop(cfg: ScenarioConfig, totals: Counter) -> bool:
 
 def _batches(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | None):
     """Batch totals over trials 0..max_blocks-1, in trial order: run here if
-    `pool` is None, else with a window of 2 x workers batches submitted to
-    it ahead of the one read.  Closing the generator cancels the queued ones
-    (running ones finish unread)."""
+    `pool` is None, else with a window of 2 x `cfg.workers` batches
+    submitted to it ahead of the one read.  Closing the generator cancels
+    the queued ones (running ones finish unread)."""
     plan = ((start, min(cfg.trials_per_batch, cfg.max_blocks - start))
             for start in range(0, cfg.max_blocks, cfg.trials_per_batch))
     if pool is None:
         for start, count in plan:
             yield _run_batch(cfg, point_index, start, count)
         return
-    depth = 2 * resolve_workers(cfg)
+    depth = 2 * cfg.workers
     window = deque()
     try:
         for start, count in plan:
@@ -221,20 +218,6 @@ def _batches(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | 
     finally:
         for future in window:
             future.cancel()
-
-
-def resolve_workers(cfg: ScenarioConfig) -> int:
-    """Worker count, with the environment variable taking precedence."""
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"workers: bad {WORKERS_ENV_VAR} value {env!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"workers: {WORKERS_ENV_VAR} must be >= 1, got {workers}")
-        return workers
-    return cfg.workers
 
 
 def run_point(cfg: ScenarioConfig, point_index: int = 0) -> tuple[SweepRecord, SweepRecord]:
@@ -249,16 +232,11 @@ def run_point(cfg: ScenarioConfig, point_index: int = 0) -> tuple[SweepRecord, S
         return _run_point(cfg, point_index, pool)
 
 
-@contextmanager
 def _pool(cfg: ScenarioConfig):
-    """A process pool for `cfg`'s workers (None for one) that lives as long
-    as the `with` body; `_batches` cancels the batches it leaves queued."""
-    workers = resolve_workers(cfg)
-    if workers == 1:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+    """A context giving a process pool of `cfg.workers` workers, or None for
+    one worker, that lives as long as the `with` body; `_batches` cancels the
+    batches it leaves queued."""
+    return nullcontext() if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
 
 
 def _run_point(cfg: ScenarioConfig, point_index: int, pool: ProcessPoolExecutor | None):

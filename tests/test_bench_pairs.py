@@ -153,6 +153,36 @@ def test_main_runs_each_named_workload_from_one_export(monkeypatch, capsys, tmp_
     assert len(saved["b"]["runs"]["change"]) == 2
 
 
+@pytest.mark.parametrize("returncode, stdout", [(1, ""), (0, "Traceback, then no JSON\n")])
+def test_main_reports_a_failed_run_and_saves_the_runs_before_it(returncode, stdout, monkeypatch, capsys, tmp_path):
+    """A run that exits nonzero, or whose last line is not JSON, ends the
+    session with exit code 1: the workload, pair, side, exit code and stderr
+    tail are printed, and --out holds the runs that came before it."""
+    declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    good = json.dumps({"correct": True, "metrics": {m["name"]: {"value": 1.0} for m in declared}})
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        if len(calls) < 3:
+            return subprocess.CompletedProcess(cmd, 0, stdout=f"progress\n{good}\n", stderr="")
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="early\nMemoryError: late\n")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "same_program", lambda a, b: False)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    argv = ["--workload", "w", "--workload", "v", "--parent", "HEAD", "--pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert len(calls) == 3  # pair 2 runs the change first, and that run fails
+    err = capsys.readouterr().err
+    assert err.startswith(f"w pair 2 change failed: exit code {returncode}, ")
+    assert "MemoryError: late" in err
+    saved = json.loads(out.read_text())["workloads"]
+    assert list(saved) == ["w"] and "summary" not in saved["w"]
+    assert [len(saved["w"]["runs"][side]) for side in ("parent", "change")] == [1, 1]
+    assert saved["w"]["failed"].startswith("pair 2 change: ")
+
+
 def test_main_rejects_a_workload_named_twice(capsys):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--workload", "a", "--workload", "a", "--parent", "HEAD"])

@@ -286,6 +286,28 @@ def test_unwritable_out_fails_before_any_batch(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [regular] and regular.read_text() == ""
 
 
+@pytest.mark.parametrize("decoder", ["grand", "orbgrand"])
+@pytest.mark.parametrize("flags, key", [
+    (["--ebn0", "10 4000"], "ebn0_db"),
+    (["--ebn0", "-4000"], "ebn0_db"),
+    (["--ebn0", "10", "--d1", "0.001", "--xi", "200"], "d1"),
+    (["--ebn0", "10", "--d1", "1e200"], "d1"),
+    (["--ebn0", "10", "--d2", "1e200"], "d2"),
+])
+def test_sweep_outside_the_float_range_fails_before_any_batch(flags, key, decoder, monkeypatch, tmp_path, capsys):
+    """A noise variance or path loss that is no positive float is one error
+    line naming its key, with no traceback, no record and no batch; before,
+    such points overflowed, divided by zero or ran with a zero path loss."""
+    batches = []
+    monkeypatch.setattr(harness, "_run_batch", lambda *args: batches.append(args))
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-snr", *flags, "--decoder", decoder, "--max-blocks", "8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} = ") and captured.err.count("\n") == 1
+    assert batches == [] and not out.exists()
+
+
 def test_analyze_checks_out_before_any_point(monkeypatch, capsys):
     """`analyze` rejects an unwritable --out before it computes a point."""
     computed = []
@@ -329,15 +351,12 @@ def test_selfcheck_passes(capsys):
     assert out.count("PASS") >= 5
 
 
-def test_selfcheck_opens_a_pool_under_a_one_worker_environment(monkeypatch, capsys):
-    """The worker-count check compares one worker with two even when the
-    environment variable would force both runs to one, and restores it."""
-    monkeypatch.setenv(harness.WORKERS_ENV_VAR, "1")
+def test_selfcheck_opens_a_pool(monkeypatch, capsys):
+    """The worker-count check compares one worker with two."""
     opened = _count_pools(monkeypatch)
     assert run_cli(["selfcheck", "--quiet"]) == 0
     assert "worker-count reproducibility: PASS" in capsys.readouterr().out
     assert len(opened) >= 1
-    assert os.environ[harness.WORKERS_ENV_VAR] == "1"
 
 
 @pytest.mark.parametrize("flags", [

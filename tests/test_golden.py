@@ -77,8 +77,7 @@ def _path(name: str) -> Path:
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_records_match_golden(name, monkeypatch):
-    monkeypatch.delenv("GRANDNOMA_WORKERS", raising=False)
+def test_records_match_golden(name):
     with open(_path(name), newline="") as fh:
         header, *want = list(csv.reader(fh))
     assert header == ["case"] + FIELDS

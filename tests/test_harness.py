@@ -22,7 +22,7 @@ from grandnoma import (
 )
 from grandnoma import harness
 from grandnoma.cli import main as cli_main
-from grandnoma.harness import CSV_FIELDS, WORKERS_ENV_VAR
+from grandnoma.harness import CSV_FIELDS
 
 EXPECTED_HEADER = (
     "scenario,decoder,channel,ebn0_db,alpha1,d1,d2,user,bits,bit_errors,ber,"
@@ -99,11 +99,13 @@ def test_run_batch_across_the_two_word_trial_boundary(block, monkeypatch):
     assert harness._run_batch(cfg, 2, trials.start, len(trials)) == want
 
 
-def test_worker_count_does_not_change_records():
+def test_worker_count_does_not_change_records(monkeypatch):
     cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=8.0,
                          min_block_errors=20, max_blocks=600, master_seed=9)
     rec1 = run_point(cfg, 0)
+    opened = _count_pools(monkeypatch)
     rec2 = run_point(cfg.at(workers=2), 0)
+    assert len(opened) == 1
     assert records_equal(rec1[0], rec2[0]) and records_equal(rec1[1], rec2[1])
 
 
@@ -160,16 +162,20 @@ def test_batch_memory_is_bounded_by_the_block_symbols(crc):
     assert peak < 3.5e6
 
 
-def test_workers_env_var_override(monkeypatch):
+def test_the_environment_does_not_set_the_worker_count(monkeypatch):
+    """`cfg.workers` is the only worker count: a GRANDNOMA_WORKERS variable,
+    which once overrode it, neither keeps a two-worker point from opening a
+    pool nor makes it fail."""
     cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=8.0,
                          min_block_errors=10, max_blocks=300, master_seed=9)
     base = run_point(cfg, 0)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-    override = run_point(cfg, 0)
-    assert records_equal(base[0], override[0])
-    monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-    with pytest.raises(ConfigError):
-        run_point(cfg, 0)
+    opened = _count_pools(monkeypatch)
+    for value in ("1", "zero"):
+        monkeypatch.setenv("GRANDNOMA_WORKERS", value)
+        pooled = run_point(cfg.at(workers=2), 0)
+        assert len(opened) == 1, value
+        assert all(map(records_equal, base, pooled))
+        opened.clear()
 
 
 def test_stopping_rule_min_errors():
@@ -297,7 +303,6 @@ def test_pooled_point_keeps_a_window_of_two_batches_per_worker(monkeypatch):
     and one more only after a merged batch lets it go on, so a point that
     stops on its first merged batch submits exactly 2 x workers, with the
     one-worker records."""
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
     cfg = POOL_SWEEP.at(ebn0_db=10.0)
     serial = run_point(cfg, 0)
     submitted = []
@@ -499,6 +504,20 @@ def test_config_rejects_nonfinite_and_negative_values(key, field, value):
     """Non-finite, negative and wrongly typed values all name their key."""
     with pytest.raises(ConfigError, match=key):
         ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(ebn0_db=4000.0), "ebn0_db"),  # 10^400 overflows
+    (dict(ebn0_db=-4000.0), "ebn0_db"),  # 10^-400 is 0, the divisor of the noise variance
+    (dict(ebn0_db=-300.0, power=1e300), "ebn0_db"),  # an infinite noise variance
+    (dict(d1=0.001, xi=200.0), "d1 .* xi"),  # 10^600 overflows
+    (dict(d1=1e200), "d1 .* xi"),  # 10^-400 is a zero path loss
+    (dict(d2=1e200), "d2 .* xi"),
+])
+def test_config_rejects_operating_points_outside_the_float_range(kwargs, match):
+    """The noise variance and both path losses must be positive floats."""
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig(**kwargs)
 
 
 @pytest.mark.parametrize("alpha1", [0.5, 0.65, 0.95])

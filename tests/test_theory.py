@@ -18,7 +18,6 @@ from grandnoma import (
     q_function,
     rayleigh_gain_sampler,
 )
-from grandnoma.harness import WORKERS_ENV_VAR
 
 
 def gaussian_tail_quadrature(x):
@@ -190,7 +189,6 @@ def test_simulation_paths_never_load_scipy(tmp_path):
     CLI sweep load no scipy module; the first theory call loads it.  Runs in
     a fresh interpreter, since other tests import scipy in this one."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    env.pop(WORKERS_ENV_VAR, None)
     done = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path / "sweep.csv")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

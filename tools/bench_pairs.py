@@ -21,6 +21,10 @@ than that, and "unresolved" when the parent's interquartile range over its
 median already exceeds it, unless every run of the change beats every run
 of the parent.  `BENCHMARK.json` is only read.
 
+A run that exits nonzero, or whose last line is not JSON, ends the session:
+its workload, pair, side, exit code and the tail of its stderr are printed,
+`--out` is written with the runs so far, and the exit code is 1.
+
 `--parent` is required: `HEAD` compares uncommitted changes with the last
 commit, and once the change is committed its parent is `HEAD~1`.  The run
 stops before the first pair if the parent's `src/grandnoma` is the same as
@@ -43,6 +47,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited nonzero or did not end with a JSON line."""
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -109,13 +118,23 @@ def export(rev: str | None, dest: Path) -> None:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in the tree at `root`: its final JSON line."""
+    """One untraced benchmark run in the tree at `root`: its final JSON line.
+    Raises RunFailed, with the exit code and the tail of stderr, if the run
+    exits nonzero or its last line is not a JSON object."""
     done = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=root, capture_output=True, text=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last) if done.returncode == 0 else None
+    except json.JSONDecodeError:
+        result = None
+    if isinstance(result, dict):
+        return result
+    tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+    raise RunFailed(f"exit code {done.returncode}, last stdout line {last!r}, stderr tail:\n{tail}")
 
 
 def report(workload: str, declared: list[dict], runs: dict[str, list[dict]]) -> dict:
@@ -155,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workload names a workload more than once: {args.workload}")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    results = {}
+    results, status = {}, 0
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(args.parent, roots["parent"])
@@ -164,18 +183,26 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"src/grandnoma at {args.parent} is the same as in this checkout; pass the change's parent")
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_once(roots[side], workload, args.seed, args.seconds)
-                    runs[side].append(result)
-                    values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared)
-                    print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} {values}", flush=True)
+            try:
+                for pair in range(args.pairs):
+                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        result = run_once(roots[side], workload, args.seed, args.seconds)
+                        runs[side].append(result)
+                        values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                                          for m in declared)
+                        print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} {values}",
+                              flush=True)
+            except RunFailed as exc:
+                print(f"{workload} pair {pair + 1} {side} failed: {exc}", file=sys.stderr, flush=True)
+                results[workload] = {"failed": f"pair {pair + 1} {side}: {exc}", "runs": runs}
+                status = 1
+                break
             results[workload] = {"summary": report(workload, declared, runs), "runs": runs}
     if args.out:
         args.out.write_text(json.dumps({"seed": args.seed, "seconds": args.seconds, "parent": args.parent,
                                         "workloads": results}, indent=2) + "\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
