@@ -120,8 +120,6 @@ class ScenarioConfig:
         check_value("ebn0_db", float, None, self.ebn0_db)
         if not 0.0 < self.alpha1 < 1.0:
             raise ConfigError(f"alpha1 must lie in (0,1), got {self.alpha1}")
-        if not math.isfinite(self.ebn0_db):
-            raise ConfigError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if not (math.isfinite(self.xi) and self.xi >= 0):
             raise ConfigError(f"xi must be finite and >= 0, got {self.xi}")
         for key, value in (("P", self.power), ("d1", self.d1), ("d2", self.d2)):

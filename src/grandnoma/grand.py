@@ -18,9 +18,9 @@ in growing chunks: the first with one gather and one XOR-reduce over whole
 columns, cached for the first queries only, and each later one, whose
 parents all lie before it, as its parents' syndromes XOR those of their
 largest ranks.  Hard GRAND's syndromes do not depend on the word at all,
-so it caches no order: it keeps only the first pattern of each syndrome,
-found by scanning `itertools.combinations` one weight at a time, and looks
-the word's syndrome up there.
+so it caches no order: it keeps one dict from each syndrome to its first
+query and pattern, found by scanning `itertools.combinations` one weight
+at a time, and looks the word's syndrome up there.
 """
 
 from __future__ import annotations
@@ -289,52 +289,36 @@ class _SyndromeLeaders:
     """The first pattern of each syndrome along the hard order of one code,
     with its query index, scanned as far as the searches so far have needed.
 
-    Only the leaders are kept, in three arrays sorted by syndrome: the
-    syndrome, its first query, and that query's positions + 1 as a
-    zero-padded row.  Lookups bisect memoryviews of the first two, which
-    index to plain ints.  The empty guess leads syndrome 0 at query 1.  The
-    scan reads the rest of the order straight from
-    `itertools.combinations`, one Hamming weight at a time, in chunks that
-    start at `_FIRST_CHUNK` queries, double up to `_MAX_CHUNK` and end at
-    each weight's end, `ends[w]`: the queries of weight <= w.
+    `first` maps each syndrome seen to its first query and that query's
+    pattern; the empty guess leads syndrome 0 at query 1.  A syndrome is
+    added only when it is not yet a key, so each keeps its leader.  The scan
+    reads the rest of the order straight from `itertools.combinations`, one
+    Hamming weight at a time, in chunks that start at `_FIRST_CHUNK`
+    queries, double up to `_MAX_CHUNK` and end at each weight's end,
+    `ends[w]`: the queries of weight <= w.
     """
 
     def __init__(self, code: CrcCode):
         n = code.spec.codeword_len
-        self.synd = np.zeros(n + 1, code.position_syndrome_array.dtype)
-        self.synd[1:] = code.position_syndrome_array
+        self.synd = code.position_syndrome_array
         self.ends = list(itertools.accumulate(math.comb(n, w) for w in range(n + 1)))
+        self.first: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
         self.scanned, self._weight, self._size = 1, 1, _FIRST_CHUNK
-        self._positions = range(1, n + 1)
-        self._combos = itertools.combinations(self._positions, 1)
-        self.rows = np.zeros((1, 0), np.min_scalar_type(n))
-        self._pack(np.zeros(1, self.synd.dtype), np.ones(1, np.int64))
-
-    def _pack(self, syndromes: np.ndarray, queries: np.ndarray) -> None:
-        self.syndromes, self.queries = syndromes, queries
-        self._syndrome_view, self._query_view = memoryview(syndromes), memoryview(queries)
-
-    def _find(self, target: int) -> int | None:
-        """Index of `target` among the leaders found, or None."""
-        i = bisect.bisect_left(self._syndrome_view, target)
-        return i if i < len(self._syndrome_view) and self._syndrome_view[i] == target else None
+        self._combos = itertools.combinations(range(n), 1)
 
     def _scan(self) -> None:
         """Add the leaders first seen in the next chunk of the order: one
         gather of per-position syndromes and one XOR over each pattern."""
         if self.scanned == self.ends[self._weight]:
             self._weight += 1
-            self._combos = itertools.combinations(self._positions, self._weight)
+            self._combos = itertools.combinations(range(len(self.synd)), self._weight)
         count = min(self._size, self.ends[self._weight] - self.scanned)
         flat = itertools.chain.from_iterable(itertools.islice(self._combos, count))
-        chunk = np.fromiter(flat, self.rows.dtype, count * self._weight).reshape(count, self._weight)
+        chunk = np.fromiter(flat, np.intp, count * self._weight).reshape(count, self._weight)
         values, offsets = np.unique(np.bitwise_xor.reduce(self.synd.take(chunk), axis=1), return_index=True)
-        new = ~np.isin(values, self.syndromes, assume_unique=True)
-        values, offsets = values[new], offsets[new]
-        at = np.searchsorted(self.syndromes, values)
-        wider = np.pad(self.rows, ((0, 0), (0, self._weight - self.rows.shape[1])))
-        self.rows = np.insert(wider, at, chunk[offsets], axis=0)
-        self._pack(np.insert(self.syndromes, at, values), np.insert(self.queries, at, offsets + self.scanned + 1))
+        for value, offset in zip(values.tolist(), offsets.tolist()):
+            if value not in self.first:
+                self.first[value] = (self.scanned + 1 + offset, tuple(chunk[offset].tolist()))
         self.scanned += count
         self._size = min(2 * self._size, _MAX_CHUNK)
 
@@ -342,13 +326,10 @@ class _SyndromeLeaders:
         """(pattern, queries) for the first pattern with syndrome `target`, or
         (None, queries) when the capped, budgeted order has none."""
         stop = self.ends[max_weight] if budget is None else min(self.ends[max_weight], budget)
-        i = self._find(target)
-        while i is None and self.scanned < stop:
+        while target not in self.first and self.scanned < stop:
             self._scan()
-            i = self._find(target)
-        if i is not None and self._query_view[i] <= stop:
-            return tuple(p - 1 for p in self.rows[i].tolist() if p), self._query_view[i]
-        return None, stop
+        query, pattern = self.first.get(target, (stop + 1, None))
+        return (pattern, query) if query <= stop else (None, stop)
 
 
 # the per-process cache: ORBGRAND rank-set orders by (n, Hamming cap), hard-GRAND leaders by code

@@ -167,10 +167,7 @@ def test_syndrome_hard_decoder_matches_generic():
         word[flips] ^= 1
         fast = hard_grand_decode(word, code, max_weight=3)
         slow = grand_decode(word, code.check, hard_pattern_stream(128, 3))
-        assert fast.queries == slow.queries
-        assert fast.abandoned == slow.abandoned
-        assert fast.error_pattern == slow.error_pattern
-        assert np.array_equal(fast.codeword, slow.codeword)
+        _assert_same(fast, slow)
 
 
 def test_syndrome_orb_decoder_matches_generic():
@@ -184,10 +181,7 @@ def test_syndrome_orb_decoder_matches_generic():
         fast = orbgrand_decode(word, llrs, code, query_budget=50_000)
         ranking = rank_by_reliability(llrs)
         slow = grand_decode(word, code.check, orb_pattern_stream(ranking), query_budget=50_000)
-        assert fast.queries == slow.queries
-        assert fast.abandoned == slow.abandoned
-        assert fast.error_pattern == slow.error_pattern
-        assert np.array_equal(fast.codeword, slow.codeword)
+        _assert_same(fast, slow)
 
 
 def test_orb_decoder_checks_the_llrs_of_a_codeword():
@@ -276,6 +270,7 @@ def _assert_same(fast, slow):
     assert fast.queries == slow.queries
     assert fast.abandoned == slow.abandoned
     assert fast.error_pattern == slow.error_pattern
+    assert all(type(p) is int for p in fast.error_pattern)
     assert np.array_equal(fast.codeword, slow.codeword)
 
 
@@ -626,6 +621,25 @@ def test_every_crc12_hard_leader_is_the_first_pattern_with_its_syndrome(monkeypa
         if query > 1:
             result = hard_grand_decode(word, code, 4, query - 1)
             assert (result.queries, result.error_pattern, result.abandoned) == (query - 1, (), True)
+    assert len(grand._LEADERS[CRC12].first) == 4096
+
+
+def test_hard_scan_of_a_wide_crc_stops_at_the_weight_cap(monkeypatch):
+    """On CRC-32 almost every pattern leads its own syndrome, so the leader
+    table grows with the scan.  A word that weight 2 cannot fix is abandoned
+    at the end of weight 2, query 8,257, and the scan stops there too, with
+    at most that many leaders."""
+    from grandnoma import grand
+
+    spec = CrcSpec(0x82608EDB, 96, 128)
+    code = get_code(spec)
+    word = np.random.default_rng(35).integers(0, 2, 128).astype(np.uint8)
+    monkeypatch.setattr(grand, "_LEADERS", {})
+    result = hard_grand_decode(word, code, 2)
+    assert (result.queries, result.error_pattern, result.abandoned) == (8_257, (), True)
+    _assert_same(result, _hard_reference(word, code, 2))
+    leaders = grand._LEADERS[spec]
+    assert leaders.scanned == 8_257 >= len(leaders.first)
 
 
 @pytest.mark.parametrize("caps", [

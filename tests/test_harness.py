@@ -476,6 +476,7 @@ def test_config_accepts_any_non_negative_integer_seed():
 @pytest.mark.parametrize("key,field,value", [
     ("ebn0_db", "ebn0_db", float("inf")),
     ("ebn0_db", "ebn0_db", float("nan")),
+    ("ebn0_db", "ebn0_db", float("-inf")),
     ("xi", "xi", float("nan")),
     ("xi", "xi", float("inf")),
     ("xi", "xi", -1.0),
