@@ -476,7 +476,6 @@ def test_config_accepts_any_non_negative_integer_seed():
 @pytest.mark.parametrize("key,field,value", [
     ("ebn0_db", "ebn0_db", float("inf")),
     ("ebn0_db", "ebn0_db", float("nan")),
-    ("ebn0_db", "ebn0_db", float("-inf")),
     ("xi", "xi", float("nan")),
     ("xi", "xi", float("inf")),
     ("xi", "xi", -1.0),
@@ -500,6 +499,7 @@ def test_config_accepts_any_non_negative_integer_seed():
     ("d1", "d1", float("inf")),
     ("d2", "d2", float("nan")),
     ("d2", "d2", float("inf")),
+    ("ebn0_db", "ebn0_db", float("-inf")),
 ])
 def test_config_rejects_nonfinite_and_negative_values(key, field, value):
     """Non-finite, negative and wrongly typed values all name their key."""
