@@ -19,7 +19,7 @@ s_sigma, c1, c2 = transmit(draw.u1, draw.u2, base)
 
 print(f"Eb/N0 = {base.ebn0_db} dB, sigma^2 = {base.sigma2:.4f}, "
       f"alpha1/alpha2 = {base.alpha1}/{base.alpha2}")
-print(f"superposed symbol power: {np.mean(np.abs(s_sigma) ** 2):.3f} (P = {base.power})")
+print(f"superposed symbol power: {np.mean(np.abs(s_sigma) ** 2):.3f} (unit total power)")
 
 r1 = propagate(s_sigma, draw.ch1) + draw.n1
 raw_u2_at_1 = hard_demod(equalize(r1, draw.ch1))

@@ -31,9 +31,8 @@ for ebn0_db in (0, 4, 8, 12, 16, 20):
         (awgn_gain_sampler(N, 1.0, 1.0), 1),
         (rayleigh_gain_sampler(N, 1.0, 1.0), 100_000),
     ):
-        inputs = TheoryInputs(alpha1=0.25, alpha2=0.75, power=1.0, sigma2=sigma2,
-                              codeword_len=N, p_ue=1e-3, channel_sampler=sampler,
-                              n_samples=n_samples)
+        inputs = TheoryInputs(alpha1=0.25, sigma2=sigma2, codeword_len=N, p_ue=1e-3,
+                              channel_sampler=sampler, n_samples=n_samples)
         rows.append((ber_user1(inputs, rng), ber_user2(inputs, rng)))
     print(f"{ebn0_db:>6} {rows[0][0]:>12.3e} {rows[1][0]:>15.3e} "
           f"{rows[0][1]:>12.3e} {rows[1][1]:>15.3e}")

@@ -204,11 +204,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     flusher = _Flusher(args.format, args.out)
     for value in ebn0_list:
         point = cfg.at(ebn0_db=float(value))
-        inputs = TheoryInputs(
-            alpha1=point.alpha1, alpha2=point.alpha2, power=point.power,
-            sigma2=point.sigma2, codeword_len=n, p_ue=args.p_ue,
-            channel_sampler=sampler, n_samples=n_samples,
-        )
+        inputs = TheoryInputs(alpha1=point.alpha1, sigma2=point.sigma2, codeword_len=n, p_ue=args.p_ue,
+                              channel_sampler=sampler, n_samples=n_samples)
         rng = np.random.default_rng(point.master_seed)
         ber1 = ber_user1(inputs, rng)
         ber2 = ber_user2(inputs, rng)

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .crc import CrcSpec
-from .phy import ebn0_to_sigma2, path_loss
+from .phy import GAIN_FLOOR, ebn0_to_sigma2, path_loss
 
 SCENARIO_PURE = "pure"
 SCENARIO_GRAND = "grand"
@@ -24,6 +24,9 @@ CHANNELS = ("awgn", "rayleigh")
 
 # CRC-12, Koopman 0x8f3, on 116-bit messages / 128-bit codewords
 DEFAULT_CRC = CrcSpec(koopman=0x8F3, message_len=116, codeword_len=128)
+
+# a pool of `workers` processes starts them all at its first submit
+MAX_WORKERS = 256
 
 
 class ConfigError(ValueError):
@@ -43,7 +46,6 @@ CONFIG_KEYS = [
     ("decoder", "decoder", "decoder", DECODERS, None, None),
     ("channel", "channel", "channel", CHANNELS, None, None),
     ("alpha1", "alpha1", "alpha1", float, None, None),
-    ("P", "power", "power", float, None, "total transmit power P"),
     ("d1", "d1", "d1", float, None, None),
     ("d2", "d2", "d2", float, None, None),
     ("xi", "xi", "xi", float, None, "path-loss exponent"),
@@ -99,7 +101,6 @@ class ScenarioConfig:
     channel: str = "awgn"
     ebn0_db: float = 10.0
     alpha1: float = 0.25
-    power: float = 1.0
     d1: float = 1.0
     d2: float = 1.0
     xi: float = 2.0
@@ -120,15 +121,20 @@ class ScenarioConfig:
         check_value("ebn0_db", float, None, self.ebn0_db)
         if not 0.0 < self.alpha1 < 1.0:
             raise ConfigError(f"alpha1 must lie in (0,1), got {self.alpha1}")
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
         if not (math.isfinite(self.xi) and self.xi >= 0):
             raise ConfigError(f"xi must be finite and >= 0, got {self.xi}")
-        for key, value in (("P", self.power), ("d1", self.d1), ("d2", self.d2)):
+        for key, value in (("d1", self.d1), ("d2", self.d2)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {value}")
-        # the noise variance and the path losses must be positive floats
-        for key, what, compute in (("ebn0_db", "noise variance", lambda: self.sigma2),
-                                   ("d1", "path loss", lambda: path_loss(self.d1, self.xi)),
-                                   ("d2", "path loss", lambda: path_loss(self.d2, self.xi))):
+        # the noise variance must be a positive float, and so must each user's
+        # after path loss and the deepest fade equalize accepts, a gain of GAIN_FLOOR
+        for key, what, compute in (
+            ("ebn0_db", "noise variance", lambda: self.sigma2),
+            ("d1", "effective noise variance", lambda: self.sigma2 / (path_loss(self.d1, self.xi) * GAIN_FLOOR**2)),
+            ("d2", "effective noise variance", lambda: self.sigma2 / (path_loss(self.d2, self.xi) * GAIN_FLOOR**2)),
+        ):
             try:
                 value = compute()
             except ArithmeticError:
@@ -158,7 +164,7 @@ class ScenarioConfig:
 
     @property
     def sigma2(self) -> float:
-        return ebn0_to_sigma2(self.ebn0_db, self.crc.rate, self.power)
+        return ebn0_to_sigma2(self.ebn0_db, self.crc.rate)
 
     def at(self, **changes) -> "ScenarioConfig":
         """Copy with fields replaced (sweep helper)."""

@@ -394,7 +394,7 @@ def orbgrand_decode(
     _check_orb_caps(max_logistic_weight, max_hamming_weight)
     target = code.syndrome(word)
     if target == 0:
-        if math.isnan(llrs @ llrs):  # a sum of squares is NaN only for a NaN term
+        if math.isnan(llrs.min()):  # NaN only for a NaN term, and never overflows
             raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
     positions = rank_by_reliability(llrs)

@@ -87,7 +87,7 @@ def transmit(u1: np.ndarray, u2: np.ndarray, cfg: ScenarioConfig):
     c2 = crc_encode(u2, cfg.crc)
     s1 = bpsk_modulate(c1)
     s2 = bpsk_modulate(c2)
-    s_sigma = superimpose(s1, s2, cfg.alpha1, cfg.alpha2, cfg.power)
+    s_sigma = superimpose(s1, s2, cfg.alpha1)
     return s_sigma, c1, c2
 
 
@@ -101,8 +101,8 @@ def _decode(
 ):
     """Equalize a (..., N) block of received samples and decode its hard
     decisions, one decoder call per word, or pass them through when `enabled`
-    is false.  ORBGRAND's LLRs take the layer's amplitude sqrt(alpha * P)
-    and count a layer of power interferer_alpha * P as noise.
+    is false.  ORBGRAND's LLRs take the layer's amplitude sqrt(alpha) and
+    count a layer of power interferer_alpha as noise.
 
     The per-word calls are the benchmark's decoder seam: its tracer times
     and re-decodes each one (DECISIONS.md, D6).  Returns (codewords,
@@ -116,8 +116,8 @@ def _decode(
     code = get_code(cfg.crc)
     rows = words.reshape(-1, words.shape[-1])
     if cfg.decoder == DECODER_ORBGRAND:
-        sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_alpha * cfg.power)
-        llrs = compute_llrs(y, np.sqrt(alpha * cfg.power), sigma_eff).reshape(rows.shape)
+        sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_alpha)
+        llrs = compute_llrs(y, np.sqrt(alpha), sigma_eff).reshape(rows.shape)
         results = [
             orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
                             query_budget=cfg.orb_query_budget)
@@ -159,7 +159,7 @@ def sic_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioConfig
     reconstructed, queries, abandoned = _decode(received, ch1, cfg, cfg.alpha2, interferer_alpha=0.0,
                                                 enabled=cfg.scenario == SCENARIO_GRAND_ASSIST)
     s_hat = bpsk_modulate(reconstructed)
-    r_sic = received - np.sqrt(cfg.alpha2 * cfg.power) * propagate(s_hat, ch1)
+    r_sic = received - np.sqrt(cfg.alpha2) * propagate(s_hat, ch1)
     return r_sic, reconstructed, queries, abandoned
 
 

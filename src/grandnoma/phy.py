@@ -7,8 +7,9 @@ Conventions, fixed once for the whole package:
   real and imaginary parts carry sigma2/2 each.
 - Path loss is d^(-xi) with distance d in meters (d > 0), so the 1 m
   reference distance is lossless.
-- Eb/N0 references the total transmit power P and includes the 1/R code-rate
-  normalization: sigma2 = P / (q * R * 10^(EbN0_dB/10)).  Energy is accounted
+- The total transmit power is 1, so `alpha1` and `1 - alpha1` are the two
+  layers' powers.  Eb/N0 references it and includes the 1/R code-rate
+  normalization: sigma2 = 1 / (R * 10^(EbN0_dB/10)).  Energy is accounted
   at the transmitter, so path loss shows up as received-signal attenuation,
   not as an Eb adjustment.
 """
@@ -101,19 +102,15 @@ def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * bits).astype(np.complex128)
 
 
-def superimpose(s1: np.ndarray, s2: np.ndarray, alpha1: float, alpha2: float, power: float) -> np.ndarray:
-    """Power-domain superposition sqrt(alpha1*P)*s1 + sqrt(alpha2*P)*s2."""
-    if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
-        raise ValueError(f"power allocations must lie in (0,1), got {alpha1}, {alpha2}")
-    if abs(alpha1 + alpha2 - 1.0) > 1e-9:
-        raise ValueError(f"power allocations must sum to 1, got {alpha1} + {alpha2}")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+def superimpose(s1: np.ndarray, s2: np.ndarray, alpha1: float) -> np.ndarray:
+    """Power-domain superposition sqrt(alpha1)*s1 + sqrt(1 - alpha1)*s2."""
+    if not 0.0 < alpha1 < 1.0:
+        raise ValueError(f"power allocation alpha1 must lie in (0,1), got {alpha1}")
     s1 = np.asarray(s1)
     s2 = np.asarray(s2)
     if s1.shape != s2.shape:
         raise ValueError(f"symbol blocks differ in shape: {s1.shape} vs {s2.shape}")
-    return np.sqrt(alpha1 * power) * s1 + np.sqrt(alpha2 * power) * s2
+    return np.sqrt(alpha1) * s1 + np.sqrt(1.0 - alpha1) * s2
 
 
 def propagate(symbols: np.ndarray, channel: ChannelRealization) -> np.ndarray:
@@ -161,10 +158,8 @@ def effective_noise_variance(
     return sigma2 / gain2 + interferer_power
 
 
-def ebn0_to_sigma2(ebn0_db: float, rate: float, power: float = 1.0, bits_per_symbol: int = 1) -> float:
-    """sigma2 = P / (q * R * 10^(EbN0_dB/10))."""
+def ebn0_to_sigma2(ebn0_db: float, rate: float) -> float:
+    """sigma2 = 1 / (R * 10^(EbN0_dB/10)) for BPSK at unit total power."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
-    return power / (bits_per_symbol * rate * 10.0 ** (ebn0_db / 10.0))
+    return 1.0 / (rate * 10.0 ** (ebn0_db / 10.0))

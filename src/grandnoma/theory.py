@@ -26,8 +26,6 @@ GainSampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray,
 @dataclass
 class TheoryInputs:
     alpha1: float
-    alpha2: float
-    power: float
     sigma2: float
     codeword_len: int
     p_ue: float
@@ -82,17 +80,17 @@ def ber_user1(inputs: TheoryInputs, rng: np.random.Generator | None = None) -> f
     n_sigma2 = inputs.codeword_len * inputs.sigma2
 
     g11 = np.asarray(g11, dtype=float)
-    denom_int = 4.0 * inputs.alpha2 * inputs.power * np.asarray(g12, dtype=float) + n_sigma2
+    denom_int = 4.0 * (1.0 - inputs.alpha1) * np.asarray(g12, dtype=float) + n_sigma2
     # degenerate denominators (no noise, no interference) give Q(inf) = 0
     ratio_int = np.divide(
-        2.0 * inputs.alpha1 * inputs.power * g11,
+        2.0 * inputs.alpha1 * g11,
         denom_int,
         out=np.full_like(g11, np.inf),
         where=denom_int > 0,
     )
     arg_int = 2.0 * np.sqrt(ratio_int)
     if n_sigma2 > 0:
-        arg_clean = 2.0 * np.sqrt(inputs.alpha1 * inputs.power * g11 / n_sigma2)
+        arg_clean = 2.0 * np.sqrt(inputs.alpha1 * g11 / n_sigma2)
     else:
         arg_clean = np.full_like(g11, np.inf)
     return inputs.p_ue * _mean_q(arg_int) + (1.0 - inputs.p_ue) * _mean_q(arg_clean)
@@ -106,7 +104,7 @@ def ber_user2(inputs: TheoryInputs, rng: np.random.Generator | None = None) -> f
     n_sigma2 = inputs.codeword_len * inputs.sigma2
     if n_sigma2 <= 0:
         return 0.0
-    arg = 2.0 * np.sqrt(inputs.alpha2 * inputs.power * g22 / n_sigma2)
+    arg = 2.0 * np.sqrt((1.0 - inputs.alpha1) * g22 / n_sigma2)
     return _mean_q(arg)
 
 

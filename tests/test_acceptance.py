@@ -119,8 +119,8 @@ def test_criterion_4_perfect_sic_identity():
         draw = draw_trial(cfg, derive_trial_rng(401, 0, i))
         s_sigma, c1, c2 = transmit(draw.u1, draw.u2, cfg)
         r1 = propagate(s_sigma, draw.ch1) + draw.n1
-        r_sic = r1 - np.sqrt(cfg.alpha2 * cfg.power) * propagate(bpsk_modulate(c2), draw.ch1)
-        clean = np.sqrt(cfg.alpha1 * cfg.power) * propagate(bpsk_modulate(c1), draw.ch1) + draw.n1
+        r_sic = r1 - np.sqrt(cfg.alpha2) * propagate(bpsk_modulate(c2), draw.ch1)
+        clean = np.sqrt(cfg.alpha1) * propagate(bpsk_modulate(c1), draw.ch1) + draw.n1
         worst = max(worst, float(np.max(np.abs(r_sic - clean))))
     ok = worst < 1e-12
     report(4, ok, f"max residual component over 1000 trials = {worst:.2e}")

@@ -9,7 +9,7 @@ import pytest
 
 from grandnoma import cli, harness
 from grandnoma.cli import _build_config, build_parser, main
-from grandnoma.config import CONFIG_KEYS, ScenarioConfig
+from grandnoma.config import CONFIG_KEYS, MAX_WORKERS, ConfigError, ScenarioConfig
 from grandnoma.harness import read_records_csv
 from test_harness import _count_pools
 
@@ -154,10 +154,35 @@ def test_unknown_config_key_fails(tmp_path):
     assert run_cli(["sweep-snr", "--ebn0", "4", "--config", str(cfg_path), "--quiet"]) == 1
 
 
+def test_total_power_is_neither_a_key_nor_a_flag(tmp_path, capsys):
+    """The link runs at unit total power: "P" is an unknown key and --power
+    a usage error."""
+    cfg_path = tmp_path / "power.json"
+    cfg_path.write_text(json.dumps({"P": 2.0}))
+    assert run_cli(["sweep-snr", "--ebn0", "4", "--config", str(cfg_path), "--quiet"]) == 1
+    assert "unknown keys ['P']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep-snr", "--ebn0", "4", "--power", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_config_build_rejects_too_many_workers(tmp_path, via_file):
+    """A pool starts all its workers at its first submit, so the count is
+    capped before any pool opens."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"workers": 100_000}))
+    flags = ["--config", str(cfg_path)] if via_file else ["--workers", "100000"]
+    with pytest.raises(ConfigError, match="workers"):
+        _build_config(build_parser().parse_args(["sweep-snr", *flags]))
+    cfg, _ = _build_config(build_parser().parse_args(["sweep-snr", "--workers", str(MAX_WORKERS)]))
+    assert cfg.workers == MAX_WORKERS
+
+
 # (file entry, flags); a flag that overrides a bad file value must not hide it
 WRONG_TYPE_CASES = [(entry, []) for entry in [
     {"workers": "2"}, {"alpha1": "0.3"}, {"trials_per_batch": 16.5}, {"max_blocks": 40.5},
-    {"seed": True}, {"orb.max_logistic_weight": 2.0}, {"P": None},
+    {"seed": True}, {"orb.max_logistic_weight": 2.0}, {"xi": None},
     {"crc.n": 128.9, "crc.k": 116}, {"crc.k": 116.2}, {"crc.k": "116"}, {"crc.n": True},
     {"crc.koopman_hex": 2291.7}, {"crc.koopman_hex": "0xzz"}, {"crc.koopman_hex": None},
     {"ebn0_db_list": ["x"]}, {"ebn0_db_list": [4.0, True]}, {"ebn0_db_list": "4"},
@@ -201,7 +226,6 @@ NON_DEFAULT = {
     "decoder": ("--decoder", "orbgrand", []),
     "channel": ("--channel", "rayleigh", []),
     "alpha1": ("--alpha1", 0.3, []),
-    "P": ("--power", 2.0, []),
     "d1": ("--d1", 2.0, []),
     "d2": ("--d2", 3.0, []),
     "xi": ("--xi", 3.0, []),
@@ -257,10 +281,15 @@ def test_bad_flag_value_fails(capsys):
     assert "alpha1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,key", [("--d1", "nan", "d1"), ("--d2", "inf", "d2"), ("--power", "nan", "P")])
+@pytest.mark.parametrize("flag,value,key", [("--d1", "nan", "d1"), ("--d2", "inf", "d2"), ("--xi", "inf", "xi")])
 def test_non_finite_flag_value_fails(capsys, flag, value, key):
     assert run_cli(["sweep-snr", "--ebn0", "10", flag, value, "--max-blocks", "64", "--quiet"]) == 1
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def test_orbgrand_at_a_huge_ebn0_runs_without_overflow():
+    """LLRs near 1e300 at 3000 dB: a codeword's NaN check must not square them."""
+    assert run_cli(["sweep-snr", "--ebn0", "3000", "--decoder", "orbgrand", "--max-blocks", "8", "--quiet"]) == 0
 
 
 def test_sweep_with_an_invalid_last_value_writes_no_record(tmp_path):

@@ -489,20 +489,22 @@ def test_config_accepts_any_non_negative_integer_seed():
     ("grand.max_weight", "grand_max_weight", None),
     ("orb.query_budget", "orb_query_budget", 1e6),
     ("orb.max_logistic_weight", "orb_max_logistic_weight", 2.5),
-    ("P", "power", True),
+    ("alpha1", "alpha1", True),
     ("d2", "d2", None),
     ("ebn0_db", "ebn0_db", "10"),
     ("xi", "xi", [2.0]),
-    ("P", "power", float("nan")),
-    ("P", "power", float("inf")),
+    ("alpha1", "alpha1", float("nan")),
+    ("alpha1", "alpha1", float("inf")),
     ("d1", "d1", float("nan")),
     ("d1", "d1", float("inf")),
     ("d2", "d2", float("nan")),
     ("d2", "d2", float("inf")),
     ("ebn0_db", "ebn0_db", float("-inf")),
+    ("workers", "workers", 100_000),
 ])
 def test_config_rejects_nonfinite_and_negative_values(key, field, value):
-    """Non-finite, negative and wrongly typed values all name their key."""
+    """Non-finite, negative and wrongly typed values, and more workers than
+    MAX_WORKERS, all name their key."""
     with pytest.raises(ConfigError, match=key):
         ScenarioConfig(**{field: value})
 
@@ -510,13 +512,15 @@ def test_config_rejects_nonfinite_and_negative_values(key, field, value):
 @pytest.mark.parametrize("kwargs, match", [
     (dict(ebn0_db=4000.0), "ebn0_db"),  # 10^400 overflows
     (dict(ebn0_db=-4000.0), "ebn0_db"),  # 10^-400 is 0, the divisor of the noise variance
-    (dict(ebn0_db=-300.0, power=1e300), "ebn0_db"),  # an infinite noise variance
+    (dict(ebn0_db=-3100.0), "ebn0_db"),  # 10^-310 is subnormal: an infinite noise variance
     (dict(d1=0.001, xi=200.0), "d1 .* xi"),  # 10^600 overflows
     (dict(d1=1e200), "d1 .* xi"),  # 10^-400 is a zero path loss
     (dict(d2=1e200), "d2 .* xi"),
+    (dict(d1=1e155), "d1 .* xi"),  # a subnormal path loss: the effective noise variance overflows
 ])
 def test_config_rejects_operating_points_outside_the_float_range(kwargs, match):
-    """The noise variance and both path losses must be positive floats."""
+    """The noise variance and both users' effective noise variances must be
+    positive floats."""
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig(**kwargs)
 

@@ -87,15 +87,15 @@ def test_perfect_sic_residual_is_zero():
         r1 = propagate(s_sigma, draw.ch1) + draw.n1
         s1 = bpsk_modulate(crc_encode(draw.u1, cfg.crc))
         # substitute the true interfering layer
-        r_sic = r1 - np.sqrt(cfg.alpha2 * cfg.power) * propagate(bpsk_modulate(c2), draw.ch1)
-        residual = r_sic - (np.sqrt(cfg.alpha1 * cfg.power) * propagate(s1, draw.ch1) + draw.n1)
+        r_sic = r1 - np.sqrt(cfg.alpha2) * propagate(bpsk_modulate(c2), draw.ch1)
+        residual = r_sic - (np.sqrt(cfg.alpha1) * propagate(s1, draw.ch1) + draw.n1)
         assert np.max(np.abs(residual)) < 1e-12
 
 
 def test_assist_undetected_error_injection():
     """An error pattern that is itself a codeword passes the reconstruction
     decode unchanged; the cancellation then leaves a residual of magnitude
-    2*sqrt(alpha2*P*L)*|h| exactly on the flipped symbols."""
+    2*sqrt(alpha2*L)*|h| exactly on the flipped symbols."""
     cfg = ScenarioConfig(scenario="grand-assist", decoder="grand", channel="rayleigh", ebn0_db=30.0)
     code = get_code(cfg.crc)
     e = min_weight_codeword(code)
@@ -107,7 +107,7 @@ def test_assist_undetected_error_injection():
     u2 = rng.integers(0, 2, k).astype(np.uint8)
     s_sigma, c1, c2 = transmit(u1, u2, cfg)
     ch1 = rayleigh_channel(cfg.crc.codeword_len, rng)
-    a2 = np.sqrt(cfg.alpha2 * cfg.power)
+    a2 = np.sqrt(cfg.alpha2)
     s2 = bpsk_modulate(c2)
     # craft noise that flips the far-user layer exactly at the codeword error
     n1 = -2.0 * a2 * propagate(s2, ch1) * e
@@ -121,7 +121,7 @@ def test_assist_undetected_error_injection():
     assert queries == 1  # accepted immediately: the corrupted word is a codeword
     assert np.array_equal(reconstructed, c2 ^ e)
 
-    residual = r_sic - (np.sqrt(cfg.alpha1 * cfg.power) * propagate(bpsk_modulate(c1), ch1) + n1)
+    residual = r_sic - (np.sqrt(cfg.alpha1) * propagate(bpsk_modulate(c1), ch1) + n1)
     magnitude = np.abs(residual)
     expected = 2.0 * a2 * np.sqrt(ch1.path_loss) * np.abs(ch1.gains)
     flipped = e.astype(bool)

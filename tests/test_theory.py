@@ -42,8 +42,6 @@ def test_q_matches_quadrature():
 def _inputs(p_ue, sigma2, alpha1=0.25, n=128, sampler=None, n_samples=1):
     return TheoryInputs(
         alpha1=alpha1,
-        alpha2=1 - alpha1,
-        power=1.0,
         sigma2=sigma2,
         codeword_len=n,
         p_ue=p_ue,
@@ -64,7 +62,7 @@ def test_ber_user1_against_scalar_implementation():
     for sigma2 in (0.05, 0.2, 1.0):
         for p_ue in (0.0, 1e-3, 0.3, 1.0):
             got = ber_user1(_inputs(p_ue, sigma2))
-            want = scalar_ber_user1(p_ue, 0.25, 0.75, 1.0, sigma2, 128, 128.0, 128.0)
+            want = scalar_ber_user1(p_ue, 0.25, 1 - 0.25, 1.0, sigma2, 128, 128.0, 128.0)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -83,7 +81,7 @@ def test_ber_user1_interference_free_when_p_ue_zero():
 
 def test_ber_user1_zero_noise_zero_interference_is_zero():
     inputs = TheoryInputs(
-        alpha1=0.25, alpha2=0.75, power=1.0, sigma2=0.0, codeword_len=128,
+        alpha1=0.25, sigma2=0.0, codeword_len=128,
         p_ue=0.0, channel_sampler=awgn_gain_sampler(128, 1.0, 1.0), n_samples=1,
     )
     assert ber_user1(inputs) == 0.0
@@ -156,7 +154,7 @@ def test_theory_inputs_validation():
     with pytest.raises(ValueError):
         _inputs(1.5, 0.1)
     with pytest.raises(ValueError):
-        TheoryInputs(alpha1=0.25, alpha2=0.75, power=1.0, sigma2=0.1, codeword_len=128,
+        TheoryInputs(alpha1=0.25, sigma2=0.1, codeword_len=128,
                      p_ue=0.0, channel_sampler=awgn_gain_sampler(128, 1, 1), n_samples=0)
     with pytest.raises(ValueError):
         bler_upper_bound(-0.1, 128, 2)
