@@ -6,14 +6,13 @@ correctable-L block-error bound.
 import numpy as np
 
 from grandnoma import (
+    CHANNELS,
     TheoryInputs,
-    awgn_gain_sampler,
     ber_user1,
     ber_user2,
     bler_upper_bound,
     ebn0_to_sigma2,
     q_function,
-    rayleigh_gain_sampler,
 )
 
 print("Gaussian tail: Q(0) = %.3f, Q(1.2816) = %.4f, Q(3) = %.2e"
@@ -27,12 +26,9 @@ print(f"{'Eb/N0':>6} {'user1 awgn':>12} {'user1 rayleigh':>15} {'user2 awgn':>12
 for ebn0_db in (0, 4, 8, 12, 16, 20):
     sigma2 = ebn0_to_sigma2(ebn0_db, RATE)
     rows = []
-    for sampler, n_samples in (
-        (awgn_gain_sampler(N, 1.0, 1.0), 1),
-        (rayleigh_gain_sampler(N, 1.0, 1.0), 100_000),
-    ):
+    for channel in CHANNELS:  # unit path loss; AWGN takes one exact sample
         inputs = TheoryInputs(alpha1=0.25, sigma2=sigma2, codeword_len=N, p_ue=1e-3,
-                              channel_sampler=sampler, n_samples=n_samples)
+                              channel=channel, path_loss=(1.0, 1.0))
         rows.append((ber_user1(inputs, rng), ber_user2(inputs, rng)))
     print(f"{ebn0_db:>6} {rows[0][0]:>12.3e} {rows[1][0]:>15.3e} "
           f"{rows[0][1]:>12.3e} {rows[1][1]:>15.3e}")

@@ -68,14 +68,6 @@ from .phy import (
     rayleigh_channel,
     superimpose,
 )
-from .theory import (
-    TheoryInputs,
-    awgn_gain_sampler,
-    ber_user1,
-    ber_user2,
-    bler_upper_bound,
-    q_function,
-    rayleigh_gain_sampler,
-)
+from .theory import TheoryInputs, ber_user1, ber_user2, bler_upper_bound, q_function
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
 """Command-line interface: sweeps, theory curves, and a quick self check.
 
 Subcommands: sweep-snr, sweep-power, sweep-distance, analyze, selfcheck.
-Every config key has one flag, built from its `CONFIG_KEYS` row; a JSON
+Every config key has one flag, built from its `CONFIG_KEYS` row, except
+that `analyze` has none for the keys only the simulation reads; a JSON
 config file with flat dotted keys ("crc.koopman_hex", "grand.max_weight",
-...) may supply defaults that explicit flags override.  Records go to
-stdout or --out; progress and diagnostics go to stderr.
+...) may supply defaults that explicit flags override, and may set any key
+for any command.  `selfcheck` takes no flags.  Records go to stdout or
+--out; progress and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .config import CONFIG_KEYS, DEFAULT_CRC, ConfigError, ScenarioConfig, check
 from .crc import CrcSpec
 from .harness import CSV_FIELDS, SWEEP_AXES, SweepRecord, _record, run_point, run_sweep, write_records
 from .phy import path_loss
-from .theory import (
-    TheoryInputs,
-    awgn_gain_sampler,
-    ber_user1,
-    ber_user2,
-    bler_upper_bound,
-    rayleigh_gain_sampler,
-)
+from .theory import TheoryInputs, ber_user1, ber_user2, bler_upper_bound
 
 
 # sweep command -> (its `run_sweep` axis, help); a command that sweeps an
@@ -41,6 +36,11 @@ SWEEPS = {
     "sweep-distance": ("d1", "BER/BLER vs near-user distance d1"),
 }
 
+# the dests of the config keys that no theory record reads: `analyze` has no
+# flag for them, though a config file it shares with the sweeps may set them
+SIMULATION_ONLY = ("decoder", "orb_query_budget", "orb_max_lw", "min_block_errors", "max_blocks",
+                   "trials_per_batch", "workers")
+
 
 def _float_list(text: str) -> list[float]:
     try:
@@ -49,10 +49,10 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="JSON file with flat config keys; flags override")
     for _, dest, _, kind, _, text in CONFIG_KEYS:
-        if dest != "ebn0":  # each command gives --ebn0 its own help
+        if dest != "ebn0" and dest not in skip:  # each command gives --ebn0 its own help
             choices = kind if isinstance(kind, tuple) else None
             parser.add_argument("--" + dest.replace("_", "-"), choices=choices,
                                 type=kind if kind in (int, float) else None, help=text)
@@ -79,15 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{axis}-list", type=_float_list, required=True)
 
     p = sub.add_parser("analyze", help="theoretical BER curves and BLER bound")
-    _add_common(p)
+    _add_common(p, skip=SIMULATION_ONLY)
     p.add_argument("--ebn0", type=_float_list, help="Eb/N0 points in dB")
     p.add_argument("--p-ue", type=float, default=0.0,
                    help="undetected-error probability for the near-user mixture")
     p.add_argument("--theory-samples", type=int, default=100_000,
                    help="Monte Carlo samples for fading expectations")
 
-    p = sub.add_parser("selfcheck", help="fast internal consistency checks")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    sub.add_parser("selfcheck", help="fast internal consistency checks")
 
     return parser
 
@@ -158,7 +157,7 @@ class _Flusher:
 
 
 def _progress(args: argparse.Namespace, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -196,16 +195,12 @@ def _run_analyze(args: argparse.Namespace) -> int:
     if not ebn0_list:
         raise ConfigError("ebn0_db_list: analyze requires --ebn0")
     n = cfg.crc.codeword_len
-    l1 = path_loss(cfg.d1, cfg.xi)
-    l2 = path_loss(cfg.d2, cfg.xi)
-    rayleigh = cfg.channel == "rayleigh"
-    sampler = (rayleigh_gain_sampler if rayleigh else awgn_gain_sampler)(n, l1, l2)
-    n_samples = args.theory_samples if rayleigh else 1  # AWGN's sampler is deterministic
+    losses = (path_loss(cfg.d1, cfg.xi), path_loss(cfg.d2, cfg.xi))
     flusher = _Flusher(args.format, args.out)
     for value in ebn0_list:
         point = cfg.at(ebn0_db=float(value))
         inputs = TheoryInputs(alpha1=point.alpha1, sigma2=point.sigma2, codeword_len=n, p_ue=args.p_ue,
-                              channel_sampler=sampler, n_samples=n_samples)
+                              channel=cfg.channel, path_loss=losses, n_samples=args.theory_samples)
         rng = np.random.default_rng(point.master_seed)
         ber1 = ber_user1(inputs, rng)
         ber2 = ber_user2(inputs, rng)

@@ -34,6 +34,8 @@ class CrcSpec:
             raise ValueError(
                 f"codeword_len ({self.codeword_len}) must exceed message_len ({self.message_len})"
             )
+        if self.koopman < 1:
+            raise ValueError(f"Koopman value must be positive, got {self.koopman:#x}")
         if self.koopman.bit_length() != self.degree:
             raise ValueError(
                 f"Koopman value 0x{self.koopman:x} must have its top bit at x^{self.degree} "

@@ -5,7 +5,9 @@ The user-1 bit-error probability is a two-term mixture over the
 undetected-error event in the SIC reconstruction: with probability p_ue the
 interference survives cancellation, otherwise the link is interference-free.
 Expectations over fading are evaluated by Monte Carlo on the squared channel
-norms; for AWGN the sampler is deterministic and a single sample suffices.
+norms.  The channel is named as in the simulator (`config.CHANNELS`), with
+each user's path loss; on AWGN the norms are exact, so one sample is taken
+whatever `n_samples` says.
 
 The expressions are implemented verbatim, constant factors included; no
 attempt is made to recalibrate them against the simulator.  scipy is
@@ -15,12 +17,10 @@ imported inside the functions that use it, never at package import (D16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-# sampler(rng, size) -> (||H1 s1||^2, ||H1 s2||^2, ||H2 s2||^2) realizations
-GainSampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+from .config import CHANNELS
 
 
 @dataclass
@@ -29,12 +29,15 @@ class TheoryInputs:
     sigma2: float
     codeword_len: int
     p_ue: float
-    channel_sampler: GainSampler
+    channel: str = "awgn"
+    path_loss: tuple[float, float] = (1.0, 1.0)  # (L1, L2)
     n_samples: int = 100_000
 
     def __post_init__(self):
         if not 0.0 <= self.p_ue <= 1.0:
             raise ValueError(f"p_ue must lie in [0,1], got {self.p_ue}")
+        if self.channel not in CHANNELS:
+            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
@@ -45,26 +48,15 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def awgn_gain_sampler(codeword_len: int, l1: float, l2: float) -> GainSampler:
-    """Deterministic norms: ||H_i s||^2 = N * L_i for unit-power symbols."""
-
-    def sample(rng, size):
-        g1 = np.full(size, codeword_len * l1)
-        g2 = np.full(size, codeword_len * l2)
-        return g1, g1.copy(), g2
-
-    return sample
-
-
-def rayleigh_gain_sampler(codeword_len: int, l1: float, l2: float) -> GainSampler:
-    """Per-symbol i.i.d. CN(0,1) fading: sum of N unit exponentials per user."""
-
-    def sample(rng, size):
-        g1 = l1 * rng.gamma(codeword_len, 1.0, size)
-        g2 = l2 * rng.gamma(codeword_len, 1.0, size)
-        return g1, g1.copy(), g2
-
-    return sample
+def _norms(inputs: TheoryInputs, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Realizations of ||H1 s||^2 and ||H2 s||^2, where ||H1 s1||^2 = ||H1 s2||^2
+    for unit-power BPSK: N * L_i on AWGN, and under per-symbol i.i.d.
+    CN(0,1) fading L_i times a sum of N unit exponentials."""
+    n = inputs.codeword_len
+    l1, l2 = inputs.path_loss
+    if inputs.channel == "awgn":
+        return np.full(1, n * l1, dtype=float), np.full(1, n * l2, dtype=float)
+    return l1 * rng.gamma(n, 1.0, inputs.n_samples), l2 * rng.gamma(n, 1.0, inputs.n_samples)
 
 
 def _mean_q(args: np.ndarray) -> float:
@@ -76,11 +68,10 @@ def ber_user1(inputs: TheoryInputs, rng: np.random.Generator | None = None) -> f
     term (weight p_ue) and the interference-free term (weight 1 - p_ue)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    g11, g12, _ = inputs.channel_sampler(rng, inputs.n_samples)
+    g11, _ = _norms(inputs, rng)
     n_sigma2 = inputs.codeword_len * inputs.sigma2
 
-    g11 = np.asarray(g11, dtype=float)
-    denom_int = 4.0 * (1.0 - inputs.alpha1) * np.asarray(g12, dtype=float) + n_sigma2
+    denom_int = 4.0 * (1.0 - inputs.alpha1) * g11 + n_sigma2
     # degenerate denominators (no noise, no interference) give Q(inf) = 0
     ratio_int = np.divide(
         2.0 * inputs.alpha1 * g11,
@@ -100,7 +91,7 @@ def ber_user2(inputs: TheoryInputs, rng: np.random.Generator | None = None) -> f
     """Far-user bit-error probability (single interference-free-style term)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    _, _, g22 = inputs.channel_sampler(rng, inputs.n_samples)
+    _, g22 = _norms(inputs, rng)
     n_sigma2 = inputs.codeword_len * inputs.sigma2
     if n_sigma2 <= 0:
         return 0.0

@@ -11,6 +11,9 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+RUSAGE = {"minor_faults": 1000, "cpu_s": 2.0}  # what `run_once` adds to a run's result
+
+
 def test_summary_counts_ties_for_neither_side():
     parent = [100.0, 102.0, 98.0, 101.0, 99.0]
     change = [110.0, 102.0, 97.0, 120.0, 105.0]
@@ -111,7 +114,7 @@ def test_main_prints_each_metric_against_its_declared_bound(monkeypatch, capsys)
             values["trials_per_s"] = next(noisy)
         else:
             values["trials_per_s"], values["point_s"] = 100.0, 1.5  # point_s 50% slower
-        return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}}
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}, "rusage": RUSAGE}
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "same_program", lambda a, b: False)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -132,7 +135,7 @@ def test_main_runs_each_named_workload_from_one_export(monkeypatch, capsys, tmp_
     def run_once(root, workload, seed, seconds):
         ran.append((workload, root.name))
         value = {"a": 10.0, "b": 20.0}[workload] * (1.5 if root.name == "change" else 1.0)
-        return {"correct": True, "metrics": {m["name"]: {"value": value} for m in declared}}
+        return {"correct": True, "metrics": {m["name"]: {"value": value} for m in declared}, "rusage": RUSAGE}
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append(rev))
     monkeypatch.setattr(bench_pairs, "same_program", lambda a, b: False)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -147,6 +150,9 @@ def test_main_runs_each_named_workload_from_one_export(monkeypatch, capsys, tmp_
         summary = [line for line in lines if line.startswith(f"{workload} trials_per_s ")]
         assert len(summary) == 1 and f"parent {parent} [{parent}, {parent}]" in summary[0]
         assert f"{workload} runs not correct: parent 0, change 0" in lines
+        assert (f"{workload} run medians: parent 1000 minor faults, 2.00 CPU s, "
+                "change 1000 minor faults, 2.00 CPU s") in lines
+    assert lines[0].startswith("b pair 1 parent correct=True ") and lines[0].endswith(" minor_faults=1000 cpu_s=2.00")
     saved = json.loads(out.read_text())["workloads"]
     assert list(saved) == ["b", "a"]
     assert saved["a"]["summary"]["trials_per_s"]["ratio"] == pytest.approx(1.5)
@@ -181,6 +187,27 @@ def test_main_reports_a_failed_run_and_saves_the_runs_before_it(returncode, stdo
     assert list(saved) == ["w"] and "summary" not in saved["w"]
     assert [len(saved["w"]["runs"][side]) for side in ("parent", "change")] == [1, 1]
     assert saved["w"]["failed"].startswith("pair 2 change: ")
+
+
+CHILD = """
+import json, time
+touched = b"\\x01" * (64 << 20)
+while time.process_time() < 0.3:
+    pass
+print(json.dumps({"correct": True, "metrics": {}}))
+"""
+
+
+def test_run_once_stores_the_faults_and_cpu_time_of_a_real_child(tmp_path):
+    """A child that touches 64 MB and spins for 0.3 s of CPU reads at least
+    half its 16,384 pages in minor faults and at least 0.3 CPU seconds."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(CHILD)
+    result = bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+    assert result["correct"] is True
+    assert set(result["rusage"]) == {"minor_faults", "cpu_s"}
+    assert result["rusage"]["minor_faults"] >= (64 << 20) // 4096 // 2
+    assert 0.3 <= result["rusage"]["cpu_s"] < 30.0
 
 
 def test_main_rejects_a_workload_named_twice(capsys):

@@ -363,6 +363,40 @@ def test_analyze_checks_its_own_flags_before_out_and_any_point(monkeypatch, caps
     assert computed == []
 
 
+# the config keys that no theory record reads
+ANALYZE_IGNORES = ["decoder", "orb.query_budget", "orb.max_logistic_weight", "min_block_errors", "max_blocks",
+                   "trials_per_batch", "workers"]
+
+
+@pytest.mark.parametrize("key", ANALYZE_IGNORES)
+def test_analyze_has_no_flag_for_a_key_only_the_simulation_reads(tmp_path, capsys, key):
+    """Such a flag is a usage error, while a config file shared with the
+    sweeps may set the key and leaves the records as they are."""
+    flag, value, _ = NON_DEFAULT[key]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["analyze", "--ebn0", "8", flag, str(value)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    plain, shared = tmp_path / "plain.csv", tmp_path / "shared.csv"
+    args = ANALYZE_ARGS + ["--channel", "rayleigh"]
+    assert run_cli(args + ["--out", str(plain)]) == 0
+    assert run_cli(args + ["--config", str(cfg_path), "--out", str(shared)]) == 0
+    assert shared.read_text() == plain.read_text()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_a_negative_koopman_value_fails(tmp_path, capsys, via_file):
+    """A negative generator used to pass the bit-length check on its
+    magnitude and run with other low bits."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"crc.koopman_hex": "-0x8f3"}))
+    flags = ["--config", str(cfg_path)] if via_file else ["--crc-koopman=-0x8f3"]
+    assert run_cli(["sweep-snr", "--ebn0", "8", "--max-blocks", "4", "--quiet", *flags]) == 1
+    assert capsys.readouterr().err == "error: Koopman value must be positive, got -0x8f3\n"
+
+
 def test_records_to_stdout(capsys):
     code = run_cli([
         "sweep-snr", "--ebn0", "8", "--min-block-errors", "2", "--max-blocks", "32", "--quiet",
@@ -374,7 +408,7 @@ def test_records_to_stdout(capsys):
 
 
 def test_selfcheck_passes(capsys):
-    assert run_cli(["selfcheck", "--quiet"]) == 0
+    assert run_cli(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
@@ -383,17 +417,18 @@ def test_selfcheck_passes(capsys):
 def test_selfcheck_opens_a_pool(monkeypatch, capsys):
     """The worker-count check compares one worker with two."""
     opened = _count_pools(monkeypatch)
-    assert run_cli(["selfcheck", "--quiet"]) == 0
+    assert run_cli(["selfcheck"]) == 0
     assert "worker-count reproducibility: PASS" in capsys.readouterr().out
     assert len(opened) >= 1
 
 
 @pytest.mark.parametrize("flags", [
     ["--crc-k", "5", "--crc-n", "4"], ["--workers", "3"], ["--out", "x.csv"], ["--format", "json"],
-    ["--config", "c.json"], ["--ebn0", "8"],
+    ["--config", "c.json"], ["--ebn0", "8"], ["--quiet"],
 ])
 def test_selfcheck_rejects_config_flags(capsys, flags):
-    """selfcheck runs fixed checks, so a config flag it would ignore is a usage error."""
+    """selfcheck runs fixed checks and prints no progress, so a flag it would
+    ignore is a usage error."""
     with pytest.raises(SystemExit) as exc:
         run_cli(["selfcheck", *flags])
     assert exc.value.code == 2

@@ -33,6 +33,8 @@ def test_invalid_specs_rejected():
         CrcSpec(0x5, 4, 4)     # degree 0
     with pytest.raises(ValueError):
         CrcSpec(0x5, 0, 3)     # empty message
+    with pytest.raises(ValueError, match="must be positive, got -0x8f3"):
+        CrcSpec(-0x8F3, 116, 128)  # bit length 12 on its magnitude
 
 
 def test_zero_message_encodes_to_zero_codeword():

@@ -9,15 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from grandnoma import (
-    TheoryInputs,
-    awgn_gain_sampler,
-    ber_user1,
-    ber_user2,
-    bler_upper_bound,
-    q_function,
-    rayleigh_gain_sampler,
-)
+from grandnoma import CHANNELS, TheoryInputs, ber_user1, ber_user2, bler_upper_bound, q_function
+from grandnoma.theory import _norms
 
 
 def gaussian_tail_quadrature(x):
@@ -39,13 +32,13 @@ def test_q_matches_quadrature():
         assert q_function(x) == pytest.approx(gaussian_tail_quadrature(x), abs=1e-12)
 
 
-def _inputs(p_ue, sigma2, alpha1=0.25, n=128, sampler=None, n_samples=1):
+def _inputs(p_ue, sigma2, alpha1=0.25, n=128, channel="awgn", n_samples=1):
     return TheoryInputs(
         alpha1=alpha1,
         sigma2=sigma2,
         codeword_len=n,
         p_ue=p_ue,
-        channel_sampler=sampler or awgn_gain_sampler(n, 1.0, 1.0),
+        channel=channel,
         n_samples=n_samples,
     )
 
@@ -82,7 +75,7 @@ def test_ber_user1_interference_free_when_p_ue_zero():
 def test_ber_user1_zero_noise_zero_interference_is_zero():
     inputs = TheoryInputs(
         alpha1=0.25, sigma2=0.0, codeword_len=128,
-        p_ue=0.0, channel_sampler=awgn_gain_sampler(128, 1.0, 1.0), n_samples=1,
+        p_ue=0.0, channel="awgn", path_loss=(1.0, 1.0), n_samples=1,
     )
     assert ber_user1(inputs) == 0.0
 
@@ -97,17 +90,37 @@ def test_ber_user2_limits_and_monotonicity():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_rayleigh_sampler_statistics():
-    sampler = rayleigh_gain_sampler(128, 0.5, 0.25)
+def test_ber_user1_and_user2_scale_with_the_path_loss():
+    """On AWGN the norms are N * L_i, so user i at loss L_i and noise sigma2
+    reads the same as at unit loss and noise sigma2 / L_i."""
+    at_loss = TheoryInputs(alpha1=0.25, sigma2=0.1, codeword_len=128, p_ue=0.3, path_loss=(0.5, 0.25))
+    assert ber_user1(at_loss) == pytest.approx(ber_user1(_inputs(0.3, 0.2)), rel=1e-12)
+    assert ber_user2(at_loss) == pytest.approx(ber_user2(_inputs(0.3, 0.4)), rel=1e-12)
+
+
+def test_awgn_takes_one_exact_sample_whatever_n_samples_says():
+    for p_ue in (0.0, 0.3):
+        one, many = _inputs(p_ue, 0.2, n_samples=1), _inputs(p_ue, 0.2, n_samples=1_000)
+        assert ber_user1(one) == ber_user1(many)
+        assert ber_user2(one) == ber_user2(many)
+    g1, g2 = _norms(_inputs(0.0, 0.2, n_samples=1_000), np.random.default_rng(0))
+    assert g1.tolist() == g2.tolist() == [128.0]
+
+
+def test_rayleigh_norms_average_n_times_the_path_loss():
+    inputs = TheoryInputs(alpha1=0.25, sigma2=0.2, codeword_len=128, p_ue=0.0, channel="rayleigh",
+                          path_loss=(0.5, 0.25), n_samples=200_000)
+    g1, g2 = _norms(inputs, np.random.default_rng(0))
+    assert np.mean(g1) == pytest.approx(128 * 0.5, rel=0.01)
+    assert np.mean(g2) == pytest.approx(128 * 0.25, rel=0.01)
+    # one gamma draw per user, the near user's first, so seeded records stay as they were
     rng = np.random.default_rng(0)
-    g11, g12, g22 = sampler(rng, 200_000)
-    assert np.allclose(g11, g12)
-    assert np.mean(g11) == pytest.approx(128 * 0.5, rel=0.01)
-    assert np.mean(g22) == pytest.approx(128 * 0.25, rel=0.01)
+    assert np.array_equal(g1, 0.5 * rng.gamma(128, 1.0, 200_000))
+    assert np.array_equal(g2, 0.25 * rng.gamma(128, 1.0, 200_000))
 
 
 def test_rayleigh_expectation_converges():
-    inputs = _inputs(0.0, 0.2, sampler=rayleigh_gain_sampler(128, 1.0, 1.0), n_samples=200_000)
+    inputs = _inputs(0.0, 0.2, channel="rayleigh", n_samples=200_000)
     a = ber_user1(inputs, np.random.default_rng(1))
     b = ber_user1(inputs, np.random.default_rng(2))
     assert a == pytest.approx(b, rel=0.05)
@@ -154,12 +167,18 @@ def test_theory_inputs_validation():
     with pytest.raises(ValueError):
         _inputs(1.5, 0.1)
     with pytest.raises(ValueError):
-        TheoryInputs(alpha1=0.25, sigma2=0.1, codeword_len=128,
-                     p_ue=0.0, channel_sampler=awgn_gain_sampler(128, 1, 1), n_samples=0)
+        TheoryInputs(alpha1=0.25, sigma2=0.1, codeword_len=128, p_ue=0.0, channel="awgn", n_samples=0)
     with pytest.raises(ValueError):
         bler_upper_bound(-0.1, 128, 2)
     with pytest.raises(ValueError):
         bler_upper_bound(0.1, 128, 200)
+
+
+@pytest.mark.parametrize("channel", ["AWGN", "rician", "", None])
+def test_theory_inputs_reject_an_unknown_channel(channel):
+    with pytest.raises(ValueError, match="channel must be one of"):
+        _inputs(0.0, 0.1, channel=channel)
+    assert [_inputs(0.0, 0.1, channel=name).channel for name in CHANNELS] == list(CHANNELS)
 
 
 SCIPY_GUARD = """

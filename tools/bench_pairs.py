@@ -21,6 +21,12 @@ than that, and "unresolved" when the parent's interquartile range over its
 median already exceeds it, unless every run of the change beats every run
 of the parent.  `BENCHMARK.json` is only read.
 
+Each run's minor page faults and CPU seconds (user plus system), its
+process and every process it waited for, are stored beside its result
+under "rusage", printed on its pair line and summarized per side as
+medians.  They explain a reading, such as a heap-state swing in faults
+that moves trials/s, and gate nothing.
+
 A run that exits nonzero, or whose last line is not JSON, ends the session:
 its workload, pair, side, exit code and the tail of its stderr are printed,
 `--out` is written with the runs so far, and the exit code is 1.
@@ -37,6 +43,7 @@ import argparse
 import io
 import json
 import math
+import resource
 import shutil
 import subprocess
 import sys
@@ -118,20 +125,27 @@ def export(rev: str | None, dest: Path) -> None:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in the tree at `root`: its final JSON line.
+    """One untraced benchmark run in the tree at `root`: its final JSON line,
+    with the run's minor faults and CPU seconds added under "rusage".
     Raises RunFailed, with the exit code and the tail of stderr, if the run
     exits nonzero or its last line is not a JSON object."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     last = (done.stdout.strip().splitlines() or [""])[-1]
     try:
         result = json.loads(last) if done.returncode == 0 else None
     except json.JSONDecodeError:
         result = None
     if isinstance(result, dict):
+        result["rusage"] = {
+            "minor_faults": after.ru_minflt - before.ru_minflt,
+            "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+        }
         return result
     tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
     raise RunFailed(f"exit code {done.returncode}, last stdout line {last!r}, stderr tail:\n{tail}")
@@ -153,6 +167,11 @@ def report(workload: str, declared: list[dict], runs: dict[str, list[dict]]) -> 
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], ratio {s['ratio']:.3f}, "
               f"wins {s['wins']}/{s['pairs']} (losses {s['losses']}, ties {s['ties']}), gain rule "
               f"{'met' if s['gain'] else 'not met'}, bound {s['bound']:.0%}: {verdict}", flush=True)
+    usage = {side: {key: np.median([r["rusage"][key] for r in rs]) for key in ("minor_faults", "cpu_s")}
+             for side, rs in runs.items()}
+    print(f"{workload} run medians: " + ", ".join(
+        f"{side} {u['minor_faults']:.0f} minor faults, {u['cpu_s']:.2f} CPU s" for side, u in usage.items()),
+        flush=True)
     failed = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
     print(f"{workload} runs not correct: parent {failed['parent']}, change {failed['change']}", flush=True)
     return summary
@@ -191,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
                         runs[side].append(result)
                         values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                                           for m in declared)
+                        usage = result["rusage"]
+                        values += f" minor_faults={usage['minor_faults']} cpu_s={usage['cpu_s']:.2f}"
                         print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} {values}",
                               flush=True)
             except RunFailed as exc:

@@ -20,8 +20,14 @@ resolve a decoder change.
 Each round prints both sides' CPU seconds, the ratio parent / change
 (above 1: the change is faster) and each bucket's ratio, which shows where
 a saving lands; the summary gives the median ratios and their ranges over
-the rounds.  Every result (codeword, pattern, query count, abandon flag) of
-either side must equal the captured one, or the script exits with status 1.
+the rounds.  A round replays 1,024 captured calls of `orb-awgn-14db`,
+about 20 ms of CPU per side, so one round resolves little: on code that
+did not change, the `130+` bucket read 0.62-1.45 per round, with a median
+of 0.936 over 5 rounds and 0.976 over 31 (2-core host).  A per-call claim
+of a few percent therefore needs about 30 rounds.
+
+Every result (codeword, pattern, query count, abandon flag) of either side
+must equal the captured one, or the script exits with status 1.
 """
 
 from __future__ import annotations
