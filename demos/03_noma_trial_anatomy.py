@@ -33,7 +33,7 @@ print("-" * len(header))
 for scenario in ("pure", "grand", "grand-assist"):
     for decoder in ("grand", "orbgrand"):
         cfg = base.at(scenario=scenario, decoder=decoder)
-        out = simulate_trial(cfg, draw_trial(cfg, derive_trial_rng(SEED, 0, 0)))
+        out = simulate_trial(cfg, draw_trial(cfg, derive_trial_rng(SEED, 0, 0)))[0]
         print(f"{scenario:14} {decoder:9} {out['bit_errors_user1']:7d} "
               f"{out['bit_errors_user2']:7d} {out['sic_reconstruction_errors']:10d} "
               f"{out['queries_user1']:7d} {out['queries_user2']:7d} {out['queries_assist']:8d}")

@@ -38,7 +38,6 @@ from .harness import (
     CSV_FIELDS,
     SweepRecord,
     derive_trial_rng,
-    read_records_csv,
     run_point,
     run_sweep,
     write_records,

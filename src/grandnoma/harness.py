@@ -16,13 +16,11 @@ trial: the same streams as `derive_trial_rng` (DECISIONS.md, D5).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import numbers
 import sys
 import time
-import typing
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
@@ -361,12 +359,3 @@ def write_records(records: Iterable[SweepRecord], fmt: str = "csv", path: str | 
     else:
         emit(path)
 
-
-def read_records_csv(path: str) -> list[SweepRecord]:
-    """Parse a CSV written by `write_records` back into records."""
-    kinds = typing.get_type_hints(SweepRecord)  # each column parses by its field's type
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_FIELDS:
-            raise ValueError(f"unexpected CSV header in {path!r}: {reader.fieldnames}")
-        return [SweepRecord(**{name: kinds[name](row[name]) for name in CSV_FIELDS}) for row in reader]

@@ -17,8 +17,9 @@ real axis).
 
 Every stage works on one trial or on a block of trials stacked along
 leading axes: the PHY and CRC arithmetic runs once over the block, and only
-the decoders run once per word.  `run_trial` draws each trial of a block
-from its own generator into block arrays and runs the block body once.
+the decoders run once per word.  `draw_trial` draws a block of trials, one
+per Philox generator, and `run_trial` runs the block body once over it; a
+bare generator is a block of one.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from .phy import (
 
 @dataclass
 class TrialDraw:
-    """All randomness of one trial, drawn up front so that scenarios and
-    decoders can be compared on matched streams.  A block of B trials holds
-    the same fields with a leading axis of length B, except the AWGN unit
-    gains, which keep shape (m,) and broadcast over the block."""
+    """All randomness of a block of B trials, drawn up front so that
+    scenarios and decoders can be compared on matched streams.  Each field
+    has a leading axis of length B, except the AWGN unit gains, which keep
+    shape (m,) and broadcast over the block."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -178,32 +179,21 @@ def receive_user1(received: np.ndarray, ch1: ChannelRealization, cfg: ScenarioCo
 def draw_trial(
     cfg: ScenarioConfig, rng: np.random.Generator | Iterable[np.random.Generator]
 ) -> TrialDraw:
-    """Draw messages, channels, and noise in a fixed order.
+    """Draw messages, channels, and noise for a block of trials, one per
+    Philox generator, in order; a bare generator is a block of one, and any
+    other bit generator raises `ValueError`.
 
-    `rng` is one generator, which gives one trial's draws, or a sized
-    iterable of generators, which gives a block with one trial per
-    generator, in order.  The iterable is consumed once, and each generator
-    is drawn from completely before the next is requested, so it may yield
-    one generator re-keyed for every trial.
-
-    The number and order of draws depends only on the channel kind and block
-    sizes, never on scenario or decoder, so matched comparisons across
-    scenarios see identical randomness.  Each trial's numbers are those of
-    `integers(0, 2, 2k)` for both messages, then on Rayleigh channels
-    `rayleigh_channel` for user 1 and for user 2, then one normal draw for
-    the four noise parts.  They take two calls per trial (DECISIONS.md, D4
-    and D6):
-
-    - `random_raw(k)` for the messages on Philox, whose 32-bit draws are
-      the halves of its 64-bit words, low half first.  `integers(0, 2)`
-      takes the top bit of one half-word per value, so the raw words give
-      its bits when no half-word is buffered, as in every stream the
-      package makes; with one buffered they give other, equally uniform
-      bits.  Other bit generators call `integers(0, 2, 2k)` itself.
-    - One normal draw for the gains and the noise (`phy.draw_fading`).
+    A sized iterable is consumed once, each generator drawn from completely
+    before the next is requested, so it may yield one generator re-keyed for
+    every trial.  The draws never depend on scenario or decoder, so matched
+    comparisons see identical randomness.  Per trial: the bits of
+    `integers(0, 2, 2k)` for both messages, taken as the top bit of each
+    half of `random_raw(k)`'s words (the same bits while no half-word is
+    buffered, as in every stream the package makes), then one normal draw
+    for the Rayleigh gains and the noise (`phy.draw_fading`; DECISIONS.md,
+    D4, D6 and D24).
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     trials = len(rngs)
     if not trials:
         raise ValueError("draw_trial needs at least one generator")
@@ -211,30 +201,25 @@ def draw_trial(
     m = cfg.crc.codeword_len  # BPSK: one bit per symbol
     fading = cfg.channel == "rayleigh"
     raw = np.empty((trials, k), dtype="<u8")  # little-endian, so that each word views as (low, high) halves
-    other = {}  # message bits of the trials whose bit generator is not Philox
     z = np.empty((trials, 4 if fading else 2, 2, m))  # (trial, part, real/imaginary, symbol)
     for b, r in enumerate(rngs):
-        if type(r.bit_generator) is np.random.Philox:
-            raw[b] = r.bit_generator.random_raw(k)
-        else:
-            other[b] = r.integers(0, 2, size=2 * k)
+        if type(r.bit_generator) is not np.random.Philox:
+            raise ValueError(f"draw_trial needs Philox generators, got {type(r.bit_generator).__name__}")
+        raw[b] = r.bit_generator.random_raw(k)
         if fading:
             draw_fading(r, z[b], users=2)
         else:
             r.standard_normal(out=z[b])
     # the top bits of the low and the high half of each word
     u = (raw.view("<u4") >> 31).astype(np.uint8)
-    for b, bits in other.items():
-        u[b] = bits
     n = np.sqrt(cfg.sigma2 / 2.0) * (z[:, -2:, 0] + 1j * z[:, -2:, 1])
-    pick = 0 if single else slice(None)
     if fading:
-        ch1 = ChannelRealization(fading_gains(z[pick, 0]), path_loss(cfg.d1, cfg.xi))
-        ch2 = ChannelRealization(fading_gains(z[pick, 1]), path_loss(cfg.d2, cfg.xi))
+        ch1 = ChannelRealization(fading_gains(z[:, 0]), path_loss(cfg.d1, cfg.xi))
+        ch2 = ChannelRealization(fading_gains(z[:, 1]), path_loss(cfg.d2, cfg.xi))
     else:
         ch1 = awgn_channel(m, cfg.d1, cfg.xi)
         ch2 = awgn_channel(m, cfg.d2, cfg.xi)
-    return TrialDraw(u[pick, :k], u[pick, k:], ch1, ch2, n[pick, 0], n[pick, 1])
+    return TrialDraw(u[:, :k], u[:, k:], ch1, ch2, n[:, 0], n[:, 1])
 
 
 def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> np.ndarray:
@@ -262,16 +247,6 @@ def simulate_trial(cfg: ScenarioConfig, draw: TrialDraw) -> np.ndarray:
 def run_trial(
     cfg: ScenarioConfig, rng: np.random.Generator | Iterable[np.random.Generator]
 ) -> np.ndarray:
-    """Monte Carlo blocks: draw each trial from its own generator, then run
-    both receivers once over the block of draws.
-
-    One generator gives one trial, a single `OUTCOME` record.  A sized
-    iterable of generators gives an `OUTCOME` array with one row per
-    generator, in generator order, equal to the single-generator outcomes
-    of the same generators.  The iterable is consumed once, in order, and
-    each generator is drawn from completely before the next is requested
-    (`draw_trial`).
-    """
-    single = isinstance(rng, np.random.Generator)
-    block = simulate_trial(cfg, draw_trial(cfg, [rng] if single else rng))
-    return block[0] if single else block
+    """Monte Carlo block: both receivers run once over `draw_trial`'s block.
+    Returns an `OUTCOME` array with one row per generator, in order."""
+    return simulate_trial(cfg, draw_trial(cfg, rng))

@@ -34,12 +34,18 @@ class TheoryInputs:
     n_samples: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 <= self.p_ue <= 1.0:
-            raise ValueError(f"p_ue must lie in [0,1], got {self.p_ue}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        losses_ok = np.shape(self.path_loss) == (2,) and all(0 < x < np.inf for x in self.path_loss)
+        for name, valid, rule in (
+            ("alpha1", 0.0 < self.alpha1 < 1.0, "lie in (0,1)"),
+            ("sigma2", 0 <= self.sigma2 < np.inf, "be finite and >= 0"),
+            ("codeword_len", self.codeword_len >= 1, "be >= 1"),
+            ("path_loss", losses_ok, "be two finite numbers > 0"),
+            ("p_ue", 0.0 <= self.p_ue <= 1.0, "lie in [0,1]"),
+            ("channel", self.channel in CHANNELS, f"be one of {CHANNELS}"),
+            ("n_samples", self.n_samples >= 1, "be >= 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 def q_function(x):

@@ -4,11 +4,13 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the library beyond its tables and constants.
 """
 
+import csv
 import itertools
+import typing
 
 import numpy as np
 
-from grandnoma import phy
+from grandnoma import CSV_FIELDS, SweepRecord, phy
 
 
 def long_division_remainder(message, generator_bits):
@@ -128,3 +130,13 @@ def draw_trial_by_parts(cfg, rng):
     n1 = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     n2 = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     return u1, u2, gains[0], gains[1], n1, n2
+
+
+def read_records_csv(path):
+    """Parse a CSV written by `write_records` back into records."""
+    kinds = typing.get_type_hints(SweepRecord)  # each column parses by its field's type
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != CSV_FIELDS:
+            raise ValueError(f"unexpected CSV header in {path!r}: {reader.fieldnames}")
+        return [SweepRecord(**{name: kinds[name](row[name]) for name in CSV_FIELDS}) for row in reader]

@@ -10,7 +10,7 @@ import pytest
 from grandnoma import cli, harness
 from grandnoma.cli import _build_config, build_parser, main
 from grandnoma.config import CONFIG_KEYS, MAX_WORKERS, ConfigError, ScenarioConfig
-from grandnoma.harness import read_records_csv
+from oracles import read_records_csv
 from test_harness import _count_pools
 
 

@@ -14,7 +14,6 @@ from grandnoma import (
     CrcSpec,
     ScenarioConfig,
     derive_trial_rng,
-    read_records_csv,
     run_point,
     run_sweep,
     run_trial,
@@ -23,6 +22,8 @@ from grandnoma import (
 from grandnoma import harness
 from grandnoma.cli import main as cli_main
 from grandnoma.harness import CSV_FIELDS
+
+from oracles import read_records_csv
 
 EXPECTED_HEADER = (
     "scenario,decoder,channel,ebn0_db,alpha1,d1,d2,user,bits,bit_errors,ber,"

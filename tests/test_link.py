@@ -70,7 +70,7 @@ def test_transmit_power():
 def test_noiseless_trials_are_error_free(scenario, decoder):
     cfg = ScenarioConfig(scenario=scenario, decoder=decoder, channel="rayleigh", ebn0_db=120.0)
     for i in range(5):
-        out = run_trial(cfg, derive_trial_rng(7, 0, i))
+        out = run_trial(cfg, derive_trial_rng(7, 0, i))[0]
         assert out["bit_errors_user1"] == 0
         assert out["bit_errors_user2"] == 0
         assert not out["block_error_user1"] and not out["block_error_user2"]
@@ -133,7 +133,7 @@ def test_undetected_flag_bookkeeping():
     cfg = ScenarioConfig(scenario="grand-assist", decoder="grand", channel="rayleigh", ebn0_db=6.0)
     seen_undetected = False
     for i in range(400):
-        out = run_trial(cfg, derive_trial_rng(11, 0, i))
+        out = run_trial(cfg, derive_trial_rng(11, 0, i))[0]
         if out["undetected_error_user1_assist"]:
             seen_undetected = True
             assert out["sic_reconstruction_errors"] > 0
@@ -144,7 +144,7 @@ def test_undetected_flag_bookkeeping():
 def test_non_assist_scenarios_never_flag_undetected():
     cfg = ScenarioConfig(scenario="grand", decoder="grand", ebn0_db=6.0)
     for i in range(50):
-        out = run_trial(cfg, derive_trial_rng(12, 0, i))
+        out = run_trial(cfg, derive_trial_rng(12, 0, i))[0]
         assert not out["undetected_error_user1_assist"]
         assert out["queries_assist"] == 0
 
@@ -155,17 +155,17 @@ def test_zero_guess_budget_reduces_to_pure():
     hard0 = ScenarioConfig(scenario="grand", decoder="grand", grand_max_weight=0, **base)
     orb1 = ScenarioConfig(scenario="grand", decoder="orbgrand", orb_query_budget=1, **base)
     for i in range(60):
-        ref = run_trial(pure, derive_trial_rng(13, 0, i))
+        ref = run_trial(pure, derive_trial_rng(13, 0, i))[0]
         for cfg in (hard0, orb1):
-            out = run_trial(cfg, derive_trial_rng(13, 0, i))
+            out = run_trial(cfg, derive_trial_rng(13, 0, i))[0]
             assert out["bit_errors_user1"] == ref["bit_errors_user1"]
             assert out["bit_errors_user2"] == ref["bit_errors_user2"]
 
 
 def test_trials_are_deterministic():
     cfg = ScenarioConfig(scenario="grand-assist", decoder="orbgrand", channel="rayleigh", ebn0_db=14.0)
-    a = run_trial(cfg, derive_trial_rng(21, 3, 5))
-    b = run_trial(cfg, derive_trial_rng(21, 3, 5))
+    a = run_trial(cfg, derive_trial_rng(21, 3, 5))[0]
+    b = run_trial(cfg, derive_trial_rng(21, 3, 5))[0]
     assert a == b
     # distinct trial indices give distinct draws; their outcomes may still coincide
     d5 = draw_trial(cfg, derive_trial_rng(21, 3, 5))
@@ -187,7 +187,7 @@ def test_matched_draws_across_scenarios():
 
 def test_outcome_fields_complete():
     cfg = ScenarioConfig(scenario="grand-assist", decoder="grand", ebn0_db=8.0)
-    out = simulate_trial(cfg, draw_trial(cfg, derive_trial_rng(1, 0, 0)))
+    out = simulate_trial(cfg, draw_trial(cfg, derive_trial_rng(1, 0, 0)))[0]
     assert set(out.dtype.names) == {
         "bit_errors_user1", "bit_errors_user2", "block_error_user1", "block_error_user2",
         "sic_reconstruction_errors", "undetected_error_user1_assist",
@@ -202,11 +202,12 @@ def test_equal_power_collapses_sic():
     """With alpha1 = alpha2 the far-user layer has no sign margin at the near
     user, reconstruction decisions on opposing symbols are coin flips, and
     the near-user BER collapses (measured plateau ~0.25-0.5)."""
-    cfg = ScenarioConfig(scenario="pure", channel="rayleigh", ebn0_db=30.0,
-                         alpha1=0.5)
+    with pytest.warns(UserWarning, match="sign-based SIC"):
+        cfg = ScenarioConfig(scenario="pure", channel="rayleigh", ebn0_db=30.0,
+                             alpha1=0.5)
     errors = 0
     for i in range(200):
-        out = run_trial(cfg, derive_trial_rng(31, 0, i))
+        out = run_trial(cfg, derive_trial_rng(31, 0, i))[0]
         errors += out["bit_errors_user1"]
     ber = errors / (200 * cfg.crc.message_len)
     assert ber > 0.2
@@ -221,11 +222,12 @@ def test_noiseless_sign_sic_above_equal_power(alpha1):
     post-SIC amplitude is sqrt(a1) - 2*sqrt(a2), negative (BER 0.5, on the
     far user's error positions) for 0.5 < alpha1 < 0.8 and positive (BER 0)
     above 0.8."""
-    cfg = ScenarioConfig(scenario="pure", channel="awgn", ebn0_db=120.0, alpha1=alpha1)
+    with pytest.warns(UserWarning, match="sign-based SIC"):
+        cfg = ScenarioConfig(scenario="pure", channel="awgn", ebn0_db=120.0, alpha1=alpha1)
     trials = 40
     errors2 = 0
     for i in range(trials):
-        out = run_trial(cfg, derive_trial_rng(41, 0, i))
+        out = run_trial(cfg, derive_trial_rng(41, 0, i))[0]
         assert out["bit_errors_user1"] == (out["bit_errors_user2"] if alpha1 < 0.8 else 0)
         errors2 += out["bit_errors_user2"]
     low, high = binom.interval(1 - 1e-6, trials * cfg.crc.message_len, 0.5)
@@ -255,7 +257,7 @@ def test_block_equals_single_trials(kwargs, trials):
     the one row of a block of that generator alone."""
     cfg = ScenarioConfig(**kwargs)
     block = run_trial(cfg, [derive_trial_rng(61, 2, i) for i in range(trials)])
-    singles = [run_trial(cfg, derive_trial_rng(61, 2, i)) for i in range(trials)]
+    singles = [run_trial(cfg, derive_trial_rng(61, 2, i))[0] for i in range(trials)]
     alone = [run_trial(cfg, [derive_trial_rng(61, 2, i)])[0] for i in range(trials)]
     assert block.shape == (trials,)
     assert block.dtype == OUTCOME and all(one.dtype == OUTCOME for one in singles)
@@ -301,39 +303,36 @@ def test_draw_matches_per_part_reference(channel, message_len):
     for i in range(25):
         draw = draw_trial(cfg, derive_trial_rng(63, 1, i))
         u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, derive_trial_rng(63, 1, i))
-        assert np.array_equal(draw.u1, u1) and np.array_equal(draw.u2, u2)
-        assert np.array_equal(draw.n1, n1) and np.array_equal(draw.n2, n2)
+        assert np.array_equal(draw.u1[0], u1) and np.array_equal(draw.u2[0], u2)
+        assert np.array_equal(draw.n1[0], n1) and np.array_equal(draw.n2[0], n2)
         if channel == "rayleigh":
-            assert np.array_equal(draw.ch1.gains, g1) and np.array_equal(draw.ch2.gains, g2)
+            assert np.array_equal(draw.ch1.gains[0], g1) and np.array_equal(draw.ch2.gains[0], g2)
         else:
             assert np.array_equal(draw.ch1.gains, np.ones(cfg.crc.codeword_len))
         assert draw.ch1.path_loss == 1.3 ** -2.0 and draw.ch2.path_loss == 2.1 ** -2.0
 
 
+@pytest.mark.parametrize("kind", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
+@pytest.mark.parametrize("fn", [draw_trial, run_trial])
+@pytest.mark.parametrize("mixed", [False, True], ids=["alone", "mixed"])
+def test_non_philox_generators_are_refused(kind, fn, mixed):
+    """Only Philox's 32-bit draws are the halves of its 64-bit raw words;
+    any other bit generator is refused by name, alone or among Philox
+    generators."""
+    other = np.random.Generator(kind(4))
+    rngs = [derive_trial_rng(69, 0, 0), other, derive_trial_rng(69, 0, 1)] if mixed else other
+    with pytest.raises(ValueError, match=f"Philox generators, got {kind.__name__}$"):
+        fn(ScenarioConfig(scenario="grand", channel="rayleigh"), rngs)
+
+
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
-def test_other_bit_generators_draw_messages_with_integers(channel):
-    """MT19937's 32-bit draws are not halves of 64-bit words, so its trials
-    take their messages from `integers` itself, also in a block mixed with
-    Philox trials, and `run_trial` on one MT19937 generator gives the trial
-    of the per-part reference draws."""
-    cfg = ScenarioConfig(scenario="grand", channel=channel, ebn0_db=4.0, d1=1.3, d2=2.1)
-    kinds = [np.random.MT19937, np.random.Philox]
-    make = lambda i: np.random.Generator(kinds[i % 2](i))  # noqa: E731
-    block = draw_trial(cfg, [make(i) for i in range(6)])
-    for b in range(6):
-        u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, make(b))
-        assert np.array_equal(block.u1[b], u1) and np.array_equal(block.u2[b], u2)
-        assert np.array_equal(block.n1[b], n1) and np.array_equal(block.n2[b], n2)
-        if channel == "rayleigh":
-            assert np.array_equal(block.ch1.gains[b], g1) and np.array_equal(block.ch2.gains[b], g2)
-    assert block.u1[::2, 1::2].any()  # the bits a 32-bit raw word would leave at 0
-    u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, make(4))
-    m = cfg.crc.codeword_len
-    gains = [np.ones(m, dtype=complex) if g is None else g for g in (g1, g2)]
-    ch1, ch2 = (phy.ChannelRealization(g, phy.path_loss(d, cfg.xi)) for g, d in zip(gains, (cfg.d1, cfg.d2)))
-    want = simulate_trial(cfg, link.TrialDraw(u1, u2, ch1, ch2, n1, n2))
-    got = run_trial(cfg, make(4))
-    assert got.item() == want.item()
+def test_a_bare_generator_is_a_block_of_one(channel):
+    cfg = ScenarioConfig(scenario="grand-assist", decoder="orbgrand", channel=channel, ebn0_db=8.0)
+    for i in range(4):
+        bare = run_trial(cfg, derive_trial_rng(71, 0, i))
+        block = run_trial(cfg, [derive_trial_rng(71, 0, i)])
+        assert bare.shape == block.shape == (1,)
+        assert bare.tolist() == block.tolist()
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
@@ -353,12 +352,12 @@ def test_rekeyed_block_draw_matches_single_draws(channel, monkeypatch):
         one = draw_trial(cfg, derive_trial_rng(seed, point, trial))
         u1, u2, g1, g2, n1, n2 = draw_trial_by_parts(cfg, derive_trial_rng(seed, point, trial))
         for name, ref in (("u1", u1), ("u2", u2), ("n1", n1), ("n2", n2)):
-            assert np.array_equal(getattr(block, name)[b], getattr(one, name)), name
-            assert np.array_equal(getattr(one, name), ref), name
+            assert np.array_equal(getattr(block, name)[b], getattr(one, name)[0]), name
+            assert np.array_equal(getattr(one, name)[0], ref), name
         for name, ref in (("ch1", g1), ("ch2", g2)):
             gains, single = getattr(block, name).gains, getattr(one, name).gains
             if channel == "rayleigh":
-                assert np.array_equal(gains[b], single) and np.array_equal(single, ref), name
+                assert np.array_equal(gains[b], single[0]) and np.array_equal(single[0], ref), name
             else:
                 assert np.array_equal(gains, single) and np.array_equal(single, np.ones(m)), name
         if channel == "rayleigh":

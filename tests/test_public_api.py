@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "draw_trial", "ebn0_to_sigma2", "effective_noise_variance", "equalize", "get_code", "grand_decode",
     "hard_demod", "hard_grand_decode", "hard_pattern_stream", "koopman_to_normal", "orb_pattern_stream",
     "orbgrand_decode", "path_loss", "propagate", "q_function", "rank_by_reliability", "rayleigh_channel",
-    "read_records_csv", "receive_user1", "receive_user2", "run_point", "run_sweep",
+    "receive_user1", "receive_user2", "run_point", "run_sweep",
     "run_trial", "sic_user1", "simulate_trial", "superimpose", "transmit", "write_records",
 ]
 

@@ -174,6 +174,22 @@ def test_theory_inputs_validation():
         bler_upper_bound(0.1, 128, 200)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sigma2", -0.1), ("sigma2", math.inf), ("sigma2", math.nan),
+    ("codeword_len", 0), ("codeword_len", -5),
+    ("alpha1", 1.5), ("alpha1", -0.2), ("alpha1", math.nan), ("alpha1", 0.0), ("alpha1", 1.0),
+    ("path_loss", (-1.0, 1.0)), ("path_loss", (1.0, 0.0)), ("path_loss", (1.0, math.inf)),
+    ("path_loss", (math.nan, 1.0)), ("path_loss", (1.0,)), ("path_loss", (1.0, 1.0, 1.0)),
+])
+def test_theory_inputs_reject_a_value_that_gives_no_ber(field, value):
+    """Each value lies outside its field's range and is refused by name.
+    Unchecked, a negative noise, a zero length, an alpha1 outside (0, 1) or a
+    negative loss gave BER 0.0 or NaN, and a short path_loss failed to unpack."""
+    fields = dict(alpha1=0.25, sigma2=0.1, codeword_len=128, p_ue=0.3, channel="awgn")
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        TheoryInputs(**{**fields, field: value})
+
+
 @pytest.mark.parametrize("channel", ["AWGN", "rician", "", None])
 def test_theory_inputs_reject_an_unknown_channel(channel):
     with pytest.raises(ValueError, match="channel must be one of"):
