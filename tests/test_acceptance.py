@@ -161,10 +161,8 @@ def _matched_block_errors(ebn0_db, n_trials, seed):
     for scenario in ("pure", "grand", "grand-assist"):
         cfg = ScenarioConfig(scenario=scenario, decoder="grand", channel="awgn",
                              ebn0_db=ebn0_db, master_seed=seed)
-        flags[scenario] = [
-            run_trial(cfg, derive_trial_rng(seed, 0, i))["block_error_user1"][0]
-            for i in range(n_trials)
-        ]
+        rngs = [derive_trial_rng(seed, 0, i) for i in range(n_trials)]
+        flags[scenario] = run_trial(cfg, rngs)["block_error_user1"].tolist()
     return flags
 
 

@@ -54,6 +54,37 @@ def test_syndrome_is_a_python_int_and_zero_for_no_set_bit():
     assert type(last) is int and last == 1  # x^0 is its own remainder
 
 
+@pytest.mark.parametrize("spec", [TOY3, CrcSpec(0xA6, 57, 65), CRC12, CrcSpec(0x82608EDB, 96, 128)])
+def test_block_syndromes_equal_the_per_word_syndromes(spec):
+    """One pass over a (..., n) block gives each word's syndrome, as one
+    call per word and the long-division remainder of the word do; bool and
+    uint8 words agree, and a 32-bit CRC keeps its uint32 table."""
+    code = get_code(spec)
+    n, k = spec.codeword_len, spec.message_len
+    gen = list(koopman_to_normal(spec))
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2, (2, 3, n)).astype(np.uint8)
+    words[0, 0] = crc_encode(words[0, 0, :k], spec)
+    rows = words.reshape(-1, n)
+    per_word = [code.syndrome(word) for word in rows]
+    remainders = [np.array(long_division_remainder(list(w[:k]), gen)) ^ w[k:] for w in rows]
+    assert per_word == [int("".join(map(str, r)), 2) for r in remainders]
+    assert per_word[0] == 0 and all(type(s) is int for s in per_word)
+    for block in (words[0, 0], words[1, 2], rows, words):
+        for bits in (block, block.astype(bool)):
+            got = code.syndrome(bits)
+            if block.ndim == 1:
+                assert type(got) is int and got == code.syndrome(block)
+            else:
+                assert got.shape == block.shape[:-1] and got.dtype == code.position_syndrome_array.dtype
+                assert got.ravel().tolist() == per_word[: got.size]
+    if spec.degree == 32:
+        assert code.position_syndrome_array.dtype == np.uint32
+    for bad in (np.zeros(n - 1, np.uint8), np.zeros((2, n + 1), np.uint8), np.uint8(1)):
+        with pytest.raises(ValueError, match=f"length {n}"):
+            code.syndrome(bad)
+
+
 def test_encode_check_roundtrip_and_systematic():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -332,6 +332,29 @@ def test_hard_grand_matches_reference_over_caps():
                              _hard_reference(word, code, max_weight, budget))
 
 
+def test_decoders_given_the_syndrome_decode_as_without_it():
+    """`syndrome=code.syndrome(word)` changes no result, for codewords and
+    failing words, hard caps 0-4 with and without a budget, and ORBGRAND
+    budgets on both sides of its first chunk's end; and the decoders do
+    use it: a failing word handed syndrome 0 leaves at query 1."""
+    code = get_code(CRC12)
+    words = _noisy_crc12_words([2.0, 4.0, 6.0], 4, seed=34)
+    passed = [code.check(word) for word, _ in words]
+    assert any(passed) and not all(passed)
+    for word, llrs in words:
+        syndrome = code.syndrome(word)
+        for budget in (1, 128, 129, 130):
+            _assert_same(orbgrand_decode(word, llrs, code, query_budget=budget, syndrome=syndrome),
+                         orbgrand_decode(word, llrs, code, query_budget=budget))
+        for max_weight in range(5):
+            for budget in (None, 60):
+                _assert_same(hard_grand_decode(word, code, max_weight, budget, syndrome=syndrome),
+                             hard_grand_decode(word, code, max_weight, budget))
+        if syndrome:
+            assert orbgrand_decode(word, llrs, code, syndrome=0).queries == 1
+            assert hard_grand_decode(word, code, syndrome=0).queries == 1
+
+
 def test_whole_order_runs_out_before_the_budget():
     code = get_code(TOY3)
     for bits in itertools.product((0, 1), repeat=7):

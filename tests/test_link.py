@@ -434,17 +434,19 @@ def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkey
     channel = awgn_channel(n)
     words = hard_demod(y)
     decoder = "orbgrand_decode" if cfg.decoder == "orbgrand" else "hard_grand_decode"
-    calls = []
+    calls, syndromes = [], []
     original = getattr(link, decoder)
 
     def counted(word, *args, **kwargs):
         calls.append(word)
+        syndromes.append(kwargs.get("syndrome"))
         return original(word, *args, **kwargs)
 
     monkeypatch.setattr(link, decoder, counted)
     codewords, queries, abandoned = _decode(y, channel, cfg, alpha=0.49,
                                             interferer_alpha=0.2, enabled=True)
     assert np.array_equal(calls, words.reshape(-1, n))
+    assert syndromes == [code.syndrome(word) for word in words.reshape(-1, n)]
     assert codewords.shape == words.shape and queries.shape == abandoned.shape == (3, 11)
     llrs = compute_llrs(y, 0.7, effective_noise_variance(cfg.sigma2, channel, 0.2)).reshape(-1, n)
     passed = 0

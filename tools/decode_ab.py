@@ -28,6 +28,14 @@ of a few percent therefore needs about 30 rounds.
 
 Every result (codeword, pattern, query count, abandon flag) of either side
 must equal the captured one, or the script exits with status 1.
+
+The replay times decoder calls only.  Each side gets the captured keywords
+that its decoder's signature accepts, so a parent whose decoders lack
+`syndrome=` (before DECISIONS.md, D25) takes each word's syndrome inside its
+calls, while the change is handed the one that `link` took over the whole
+block, outside the replay.  Against such a parent the tool therefore
+overstates the per-call saving; the block pass's own cost shows only end to
+end (`tools/bench_pairs.py`).
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
+import inspect
 import statistics
 import sys
 import tempfile
@@ -73,12 +82,15 @@ def capture(workload_name: str, seed: int) -> list[tuple[str, tuple, dict, objec
 
 def bind(package, captured) -> list[tuple]:
     """The captured calls as (function, args, kwargs) of `package`, with each
-    CRC code replaced by that package's code for the same spec."""
+    CRC code replaced by that package's code for the same spec, and only the
+    keywords that the function's signature accepts."""
     calls = []
     for decoder, args, kwargs, _ in captured:
+        fn = getattr(package.grand, decoder)
+        accepted = inspect.signature(fn).parameters
         args = tuple(package.get_code(package.CrcSpec(**dataclasses.asdict(a.spec)))
                      if hasattr(a, "spec") else a for a in args)
-        calls.append((getattr(package.grand, decoder), args, kwargs))
+        calls.append((fn, args, {k: v for k, v in kwargs.items() if k in accepted}))
     return calls
 
 
