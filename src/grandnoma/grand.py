@@ -12,15 +12,16 @@ and `orbgrand_decode` rely on neither order depending on the received word:
 a codebook query is an XOR of per-position syndromes, and what each decoder
 caches per process grows only as far as the longest search so far has
 needed.  ORBGRAND caches its order of rank sets, built one logistic-weight
-class at a time, with each query's largest rank and its parent, the
-earlier query that flips the same ranks but that one.  It scans the order
-in growing chunks: the first with one gather and one XOR-reduce over whole
-columns, cached for the first queries only, and each later one, whose
-parents all lie before it, as its parents' syndromes XOR those of their
-largest ranks.  Hard GRAND's syndromes do not depend on the word at all,
-so it caches no order: it keeps one dict from each syndrome to its first
-query and pattern, found by scanning `itertools.combinations` one weight
-at a time, and looks the word's syndrome up there.
+class at a time, with each query's largest rank and its parent (the query
+that flips the same ranks but that one), and per cap and budget a plan of
+growing chunks.  It scans them under the word's ranking, or a block sort's
+row: the first chunk with one gather and one XOR-reduce over whole columns,
+and each later one, whose parents all lie before it, as its parents'
+syndromes XOR those of their largest ranks.  Hard GRAND's syndromes do not
+depend on the word at all, so it caches no order: it keeps one dict from
+each syndrome to its first query and pattern, found by scanning
+`itertools.combinations` one weight at a time, and looks the word's syndrome
+up there.
 """
 
 from __future__ import annotations
@@ -78,6 +79,20 @@ def rank_by_reliability(llrs: np.ndarray) -> np.ndarray:
     order = magnitudes.argsort(kind="stable")
     if order.size and math.isnan(magnitudes[order[-1]]):  # NaN sorts last
         raise ValueError("llrs contain NaN")
+    return order
+
+
+def _rank_rows(llrs: np.ndarray) -> np.ndarray:
+    """`rank_by_reliability` of each row of a (W, n) block in one unstable
+    sort; only rows with a tie in magnitude are sorted again, stably."""
+    magnitudes = np.abs(llrs)
+    order = magnitudes.argsort(axis=-1)
+    ranked = np.sort(magnitudes, axis=-1)
+    if np.isnan(ranked[:, -1:]).any():  # NaN sorts last
+        raise ValueError("llrs contain NaN")
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = magnitudes[tied].argsort(axis=-1, kind="stable")
     return order
 
 
@@ -186,8 +201,9 @@ class _OrbOrder:
         self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
         self.cols = np.zeros((1, 1), np.intp)  # the empty guess's column; intp gathers without a cast
         self.last = np.zeros(1, np.min_scalar_type(n))
-        self.parent = np.zeros(1, np.int32)
+        self.parent = np.zeros(1, np.intp)
         self.filled = self._dense = 1  # queries filled, and those with whole columns
+        self.plans: dict[tuple, list[tuple[int, int, bool]]] = {}  # (cap, budget): chunks, by `extend`
         self._weight_end = [1]
         self._size_start = [0]  # [k]: first query (0-based) that flips k or more ranks
         self._reach = [0]  # [w]: the largest parent of any query of weight <= w
@@ -197,24 +213,23 @@ class _OrbOrder:
         while self.filled < upto and not self.exhausted:
             self._add_class(len(self._weight_end))
 
-    def stop(self, cap: int | None, limit: float) -> float:
-        """Queries that the weight cap and `limit` (inf for no budget) allow; `limit` while unknown."""
-        if cap is not None and cap < len(self._weight_end):
-            return min(self._weight_end[cap], limit)
-        return min(self.filled, limit) if self.exhausted else limit
-
-    def chunks(self, start: int, cap: int | None, budget: int | None) -> Iterator[tuple[int, int]]:
-        """Ranges (a, b] of queries after query `start`, up to the end of the
-        capped, budgeted order, in chunks that double in size."""
-        a, size = start, _FIRST_CHUNK
+    def extend(self, plan: list[tuple[int, int, bool]], cap: int | None, budget: int | None) -> bool:
+        """Append to `plan` the next chunk (a, b] of a search under the cap and
+        budget, sizes doubling from query 1, and whether it chains: every
+        parent of the classes it reaches is among queries 1..a, never in the
+        first.  False at the order's end.  Appended chunks are final (D26)."""
+        a, size = plan[-1][1] if plan else 1, min(_FIRST_CHUNK << len(plan), _MAX_CHUNK)
         limit = math.inf if budget is None else budget
-        while True:
-            self.fill(min(a + size, limit))
-            b = min(a + size, self.stop(cap, limit))
-            if b <= a:
-                return
-            yield a, b
-            a, size = b, min(2 * size, _MAX_CHUNK)
+        self.fill(min(a + size, limit))
+        if cap is not None and cap < len(self._weight_end):  # the capped order's end is known
+            limit = min(self._weight_end[cap], limit)
+        elif self.exhausted:
+            limit = min(self.filled, limit)
+        b = min(a + size, limit)
+        if b <= a:
+            return False
+        plan.append((a, b, a > 1 and self._reach[bisect.bisect_right(self._weight_end, b - 1)] < a))
+        return True
 
     def ranks(self, columns: np.ndarray, width: int) -> np.ndarray:
         """The `width` largest ranks of each of `columns`, largest first and 0
@@ -259,14 +274,13 @@ class _OrbOrder:
         self.exhausted = weight == self._last_weight
 
     def syndromes(self, synd: np.ndarray, a: int, b: int, found: np.ndarray | None = None) -> np.ndarray:
-        """Syndromes of queries a+1..b.  Given those of queries 1..a by column
-        in `found`, and when every parent is among them: one gather of the
-        parents' syndromes and one of the largest ranks', XORed.  Otherwise:
-        one gather of the block's columns, as wide as the most flips among
-        them (read from `cols` within the dense prefix and rebuilt by `ranks`
-        past it), and one XOR over its slots."""
-        if found is not None and self.chained(a, b):
-            return found.take(self.parent[a:b]) ^ synd.take(self.last[a:b])
+        """Syndromes of queries a+1..b.  Given `found`, those of queries 1..a by
+        column with room through b, for a chunk that chains: the parents'
+        syndromes XOR their largest ranks', written into found[a:b].  Else: one
+        gather of the block's columns, as wide as the most flips among them
+        (from `cols` in the dense prefix, by `ranks` past it), and one XOR."""
+        if found is not None:
+            return np.bitwise_xor(found.take(self.parent[a:b]), synd.take(self.last[a:b]), out=found[a:b])
         width = bisect.bisect_left(self._size_start, b) - 1
         block = self.cols[:width, a:b] if b <= self._dense else self.ranks(np.arange(a, b), width)
         return np.bitwise_xor.reduce(synd.take(block), axis=0)
@@ -278,11 +292,6 @@ class _OrbOrder:
             flipped.append(int(positions[self.last[col] - 1]))
             col = self.parent[col]
         return tuple(sorted(flipped))
-
-    def chained(self, a: int, b: int) -> bool:
-        """Whether every parent of the classes that queries a+1..b reach is
-        among queries 1..a."""
-        return self._reach[bisect.bisect_right(self._weight_end, b - 1)] < a
 
 
 class _SyndromeLeaders:
@@ -379,13 +388,14 @@ def orbgrand_decode(
     max_logistic_weight: int | None = None,
     query_budget: int | None = 1_000_000,
     max_hamming_weight: int | None = None,
-    *, syndrome: int | None = None,
+    *, syndrome: int | None = None, positions: np.ndarray | None = None,
 ) -> DecodeResult:
     """ORBGRAND (1-line) against a CRC codebook via syndromes.
 
     Same result as `grand_decode` over `orb_pattern_stream(rank_by_reliability(llrs))`.
     A word that passes the CRC (by `syndrome`, if given: `code.syndrome(word)`)
     returns at query 1, before any ranking; its LLRs are still checked for NaN.
+    `positions`, if given, must equal `rank_by_reliability(llrs)`.
     """
     word = np.asarray(word, dtype=np.uint8)
     llrs = np.asarray(llrs, dtype=float)
@@ -399,7 +409,7 @@ def orbgrand_decode(
         if math.isnan(llrs.min()):  # NaN only for a NaN term, and never overflows
             raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
-    positions = rank_by_reliability(llrs)
+    positions = _rank_rows(llrs[np.newaxis])[0] if positions is None else positions
     key = (n, n if max_hamming_weight is None else min(n, max_hamming_weight))
     order = _ORB_ORDERS.get(key)
     if order is None:
@@ -407,19 +417,23 @@ def orbgrand_decode(
     table = code.position_syndrome_array
     synd = np.zeros(n + 1, table.dtype)
     synd[1:] = table[positions]
-    queries, found = 1, None  # found: the syndromes of queries 1..a by column, once a chunk missed
-    for a, b in order.chunks(1, max_logistic_weight, query_budget):
-        syndromes = order.syndromes(synd, a, b, found)
+    plan = order.plans.setdefault((max_logistic_weight, query_budget), [])
+    queries, found, i = 1, None, 0  # found: the syndromes of queries 1..b by column, once a chunk missed
+    while i < len(plan) or order.extend(plan, max_logistic_weight, query_budget):
+        a, b, chained = plan[i]
+        syndromes = order.syndromes(synd, a, b, found if chained else None)
         hits = syndromes == target
         first = int(hits.argmax())
         if hits[first]:
             query = a + first + 1
             pattern = order.pattern(query, positions)
             return DecodeResult(_apply_pattern(word, pattern), pattern, query, False)
-        if found is None or len(found) < b:  # room for the queries cached so far, or twice b
-            grown = np.empty(max(2 * b, order.filled), synd.dtype)
-            grown[:a] = 0 if found is None else found[:a]  # column 0, the empty guess, has syndrome 0
+        ahead = 3 * b - 2 * a  # chunks at most double, so the next one ends by here
+        if found is None or len(found) < ahead:  # room for it, and for the queries cached so far
+            grown = np.empty(max(2 * ahead, order.filled), synd.dtype)
+            grown[:b] = 0 if found is None else found[:b]  # the empty guess's 0; a chained chunk's own
             found = grown
-        found[a:b] = syndromes
-        queries = b
+        if not chained:
+            found[a:b] = syndromes
+        queries, i = b, i + 1
     return DecodeResult(word.copy(), (), queries, True)

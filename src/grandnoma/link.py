@@ -36,7 +36,7 @@ from .config import (
     ScenarioConfig,
 )
 from .crc import crc_encode, get_code
-from .grand import hard_grand_decode, orbgrand_decode
+from .grand import _rank_rows, hard_grand_decode, orbgrand_decode
 from .phy import (
     ChannelRealization,
     awgn_channel,
@@ -105,7 +105,8 @@ def _decode(
     is false.  ORBGRAND's LLRs take the layer's amplitude sqrt(alpha) and
     count a layer of power interferer_alpha as noise.
 
-    Each per-word call gets its entry of one block syndrome pass (D25); the
+    Each per-word call gets its entry of one block syndrome pass (D25) and,
+    for a word that fails the CRC, its row of one block ranking (D26); the
     calls are the benchmark's seam, timed and re-decoded by its tracer (D6).
     Returns (codewords, queries, abandoned), the last two over leading axes.
     """
@@ -116,22 +117,27 @@ def _decode(
         return words, np.zeros(lead, dtype=np.int64), np.zeros(lead, dtype=bool)
     code = get_code(cfg.crc)
     rows = words.reshape(-1, words.shape[-1])
-    syndromes = code.syndrome(rows).tolist()
+    syndromes = code.syndrome(rows)
     if cfg.decoder == DECODER_ORBGRAND:
         sigma_eff = effective_noise_variance(cfg.sigma2, channel, interferer_alpha)
         llrs = compute_llrs(y, np.sqrt(alpha), sigma_eff).reshape(rows.shape)
+        ranked = iter(_rank_rows(llrs[syndromes != 0]))  # codewords leave at query 1, before any ranking
         results = [
             orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
-                            query_budget=cfg.orb_query_budget, syndrome=syndrome)
-            for word, llr, syndrome in zip(rows, llrs, syndromes)
+                            query_budget=cfg.orb_query_budget, syndrome=syndrome,
+                            positions=next(ranked) if syndrome else None)
+            for word, llr, syndrome in zip(rows, llrs, syndromes.tolist())
         ]
     else:
         results = [hard_grand_decode(word, code, max_weight=cfg.grand_max_weight, syndrome=syndrome)
-                   for word, syndrome in zip(rows, syndromes)]
+                   for word, syndrome in zip(rows, syndromes.tolist())]
+    codewords = rows.copy()  # a codeword decodes to itself; only the failing words may change
+    for i in np.flatnonzero(syndromes).tolist():
+        codewords[i] = results[i].codeword
     return (
-        np.reshape([r.codeword for r in results], words.shape),
-        np.reshape([r.queries for r in results], lead),
-        np.reshape([r.abandoned for r in results], lead),
+        codewords.reshape(words.shape),
+        np.fromiter((r.queries for r in results), np.int64, len(results)).reshape(lead),
+        np.fromiter((r.abandoned for r in results), bool, len(results)).reshape(lead),
     )
 
 

@@ -87,6 +87,11 @@ def min_weight_codeword(code, max_weight=4):
     raise RuntimeError("no codeword found within the searched weight")
 
 
+def reliability_order(llrs):
+    """Positions by |LLR| ascending, ties to the lower position."""
+    return sorted(range(len(llrs)), key=lambda i: (abs(llrs[i]), i))
+
+
 def check_words(code, words):
     """Vectorized membership test for a (num_words, N) bit matrix."""
     words = np.asarray(words)

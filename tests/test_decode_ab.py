@@ -39,23 +39,33 @@ def test_calls_are_bucketed_by_the_query_count_of_the_captured_result():
 
 
 def test_bind_passes_each_side_only_the_keywords_its_decoder_accepts():
-    """A parent decoder without `syndrome=` replays the captured call
-    without it; a decoder that takes it keeps it."""
+    """A parent decoder without `syndrome=` or `positions=` replays the
+    captured call without them; a decoder that takes them keeps them."""
     code = get_code(CrcSpec(0x5, 4, 7))
     word = np.zeros(7, np.uint8)
-    captured = [("hard_grand_decode", (word, code), {"max_weight": 2, "syndrome": 0}, None)]
+    failing, llrs = np.eye(7, dtype=np.uint8)[3], np.linspace(-1.0, 2.0, 7)
+    positions, syndrome = grandnoma.rank_by_reliability(llrs), code.syndrome(failing)
+    captured = [("hard_grand_decode", (word, code), {"max_weight": 2, "syndrome": 0}, None),
+                ("orbgrand_decode", (failing, llrs, code),
+                 {"query_budget": 9, "syndrome": syndrome, "positions": positions}, None)]
 
     def hard_grand_decode(word, code, max_weight=4):
         return DecodeResult(word, (), 1, False)
 
-    parent = types.SimpleNamespace(grand=types.SimpleNamespace(hard_grand_decode=hard_grand_decode),
-                                   get_code=get_code, CrcSpec=CrcSpec)
-    [(fn, args, kwargs)] = decode_ab.bind(parent, captured)
+    def orbgrand_decode(word, llrs, code, max_logistic_weight=None, query_budget=1_000_000, *, syndrome=None):
+        return DecodeResult(word, (), 1, False)
+
+    grand = types.SimpleNamespace(hard_grand_decode=hard_grand_decode, orbgrand_decode=orbgrand_decode)
+    parent = types.SimpleNamespace(grand=grand, get_code=get_code, CrcSpec=CrcSpec)
+    [(fn, args, kwargs), (orb, orb_args, orb_kwargs)] = decode_ab.bind(parent, captured)
     assert fn is hard_grand_decode and kwargs == {"max_weight": 2}
     assert args[0] is word and args[1] is code
-    [(fn, args, kwargs)] = decode_ab.bind(grandnoma, captured)
+    assert orb is orbgrand_decode and orb_kwargs == {"query_budget": 9, "syndrome": syndrome}
+    [(fn, args, kwargs), (orb, orb_args, orb_kwargs)] = decode_ab.bind(grandnoma, captured)
     assert fn is grandnoma.grand.hard_grand_decode and kwargs == {"max_weight": 2, "syndrome": 0}
     assert fn(*args, **kwargs).queries == 1
+    assert orb is grandnoma.grand.orbgrand_decode and orb_kwargs["positions"] is positions
+    assert orb(*orb_args, **orb_kwargs).error_pattern == (3,)
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export the parent")

@@ -15,7 +15,7 @@ from grandnoma import (
 )
 from grandnoma.crc import get_code
 
-from oracles import brute_codebook, min_distance_decode
+from oracles import brute_codebook, min_distance_decode, reliability_order
 
 CRC12 = CrcSpec(0x8F3, 116, 128)
 TOY3 = CrcSpec(0x5, 4, 7)
@@ -58,6 +58,36 @@ def test_rank_by_reliability():
 def test_rank_rejects_nan():
     with pytest.raises(ValueError):
         rank_by_reliability(np.array([1.0, np.nan]))
+
+
+def _ranking_rows(n, rng):
+    """Rows whose ranking a sort could get wrong: random, all equal, tied
+    pairs, signed zeros and equal magnitudes of opposite sign."""
+    tied = rng.normal(size=n)
+    tied[1::2] = tied[: n // 2 * 2 : 2]
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zeros[::3] = rng.normal(size=len(zeros[::3]))
+    return np.array([rng.normal(size=n), np.full(n, 1.25), tied, zeros, -tied, rng.normal(size=n),
+                     rng.integers(-3, 4, n).astype(float)])
+
+
+@pytest.mark.parametrize("n", [1, 8, 128, 300])
+def test_block_ranking_is_the_per_word_ranking_of_each_row(n):
+    """One block sort gives each row `rank_by_reliability` and the oracle's
+    order, ties included; an empty block gives an empty ranking, and a NaN
+    in any row raises."""
+    from grandnoma import grand
+
+    rows = _ranking_rows(n, np.random.default_rng(n))
+    got = grand._rank_rows(rows)
+    assert got.dtype == np.intp and got.shape == rows.shape
+    for llrs, positions in zip(rows, got):
+        assert positions.tolist() == rank_by_reliability(llrs).tolist() == reliability_order(llrs)
+    empty = grand._rank_rows(np.empty((0, n)))
+    assert empty.dtype == np.intp and empty.shape == (0, n)
+    rows[3, n // 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        grand._rank_rows(rows)
 
 
 def test_orb_stream_identity_ranking_order():
@@ -355,6 +385,93 @@ def test_decoders_given_the_syndrome_decode_as_without_it():
             assert hard_grand_decode(word, code, syndrome=0).queries == 1
 
 
+CRC32 = CrcSpec(0x82608EDB, 96, 128)
+RANKED_CAPS = [dict(query_budget=budget) for budget in (1, 128, 129, 130, 385, 386, 387)]
+RANKED_CAPS += [dict(query_budget=None, max_logistic_weight=w) for w in (14, 15, 20)]  # end at 110, 137, 371
+RANKED_CAPS += [dict(query_budget=1_000, max_hamming_weight=h) for h in range(5)]
+
+
+def test_orbgrand_given_the_ranking_decodes_as_without_it_and_as_the_reference():
+    """`positions=rank_by_reliability(llrs)` changes no result, with random
+    and tied LLRs, for words whose first match lies around the ends of the
+    first two chunks and for random words, over budgets on both sides of
+    those ends, logistic caps that end inside the first two chunks and
+    Hamming caps 0-4; CRC-32 words match only where built to, so the rest
+    abandon."""
+    rng = np.random.default_rng(38)
+    results = []
+    for spec in (TOY3, CrcSpec(0xA6, 57, 65), CRC12, CRC32):
+        code, n = get_code(spec), spec.codeword_len
+        for llrs in (rng.normal(size=n), rng.integers(-4, 5, n) * 0.5):
+            positions = rank_by_reliability(llrs)
+            patterns = list(itertools.islice(orb_pattern_stream(positions), 400))
+            words = [rng.integers(0, 2, n).astype(np.uint8)]
+            for query in (2, 128, 129, 130, 131, 385, 386, 387, 388):
+                if query <= len(patterns):
+                    words.append(np.zeros(n, np.uint8))
+                    words[-1][list(patterns[query - 1])] = 1
+            for word in words:
+                for caps in RANKED_CAPS:
+                    given = orbgrand_decode(word, llrs, code, positions=positions, **caps)
+                    _assert_same(given, orbgrand_decode(word, llrs, code, **caps))
+                    _assert_same(given, _orb_reference(word, llrs, code, **caps))
+                    results.append((spec, given))
+    found = {r.queries for _, r in results if not r.abandoned}
+    assert {129, 130, 385, 386, 387} <= found
+    assert any(r.abandoned and r.queries == 1_000 for spec, r in results if spec == CRC32)
+
+
+def test_plans_built_by_interleaved_searches_decode_like_the_reference(monkeypatch):
+    """Decodes under different (cap, budget) pairs, interleaved in one
+    process, decode like the reference from an empty order and from a warm
+    one, and each pair's cached plan is a prefix of the whole plan that a
+    fresh order builds for it: each plan grows only as far as its deepest
+    search, and a budget of 1 leaves its plan empty."""
+    from grandnoma import grand
+
+    code = get_code(CRC12)
+    caps = [dict(query_budget=1), dict(query_budget=129), dict(query_budget=386), dict(query_budget=5_000),
+            dict(query_budget=None, max_logistic_weight=15), dict(query_budget=None, max_logistic_weight=20),
+            dict(query_budget=2_000, max_hamming_weight=3)]
+    jobs = [(word, llrs, cap) for word, llrs in _noisy_crc12_words([2.0, 3.0], 3, seed=39) for cap in caps]
+    want = [_orb_reference(word, llrs, code, **cap) for word, llrs, cap in jobs]
+    monkeypatch.setattr(grand, "_ORB_ORDERS", {})
+    for run in (range(len(jobs)), reversed(range(len(jobs)))):  # from an empty order, then a warm one
+        for i in run:
+            _assert_same(orbgrand_decode(jobs[i][0], jobs[i][1], code, **jobs[i][2]), want[i])
+    assert max(r.queries for r in want) > 385
+    for (n, hamming), order in grand._ORB_ORDERS.items():
+        for (cap, budget), plan in order.plans.items():
+            whole, fresh = [], grand._OrbOrder(n, hamming)
+            while fresh.extend(whole, cap, budget):
+                pass
+            assert plan == whole[: len(plan)]
+            assert budget != 1 or plan == []
+    assert len(grand._ORB_ORDERS[(128, 128)].plans) == 6
+    whole = []  # past two chunks of the largest size
+    while grand._ORB_ORDERS[(128, 128)].extend(whole, None, 13_000):
+        pass
+    assert [b for _, b, _ in whole] == _chunk_ends(1) + [13_000]
+
+
+def test_first_deep_searches_of_an_empty_order_decode_like_the_reference(monkeypatch):
+    """The first searches of a fresh process fill the order as they go, so
+    `found` grows between chained chunks; each CRC-32 word matches exactly
+    at its query, past the chunk ends 897, 1,921 and 3,969."""
+    from grandnoma import grand
+
+    code = get_code(CRC32)
+    llrs = np.arange(1.0, 129.0)  # rank r is position r - 1
+    patterns = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), 9_000))
+    for query in (1_000, 3_000, 8_500):
+        monkeypatch.setattr(grand, "_ORB_ORDERS", {})
+        word = np.zeros(128, np.uint8)
+        word[list(patterns[query - 1])] = 1
+        fast = orbgrand_decode(word, llrs, code, query_budget=10_000)
+        _assert_same(fast, _orb_reference(word, llrs, code, query_budget=10_000))
+        assert fast.queries == query and not fast.abandoned
+
+
 def test_whole_order_runs_out_before_the_budget():
     code = get_code(TOY3)
     for bits in itertools.product((0, 1), repeat=7):
@@ -493,13 +610,14 @@ def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 300])
 def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
-    """For every query of every chunk of the ORBGRAND order, `syndromes`
+    """For every query of every range of the ORBGRAND plan, `syndromes`
     equals the XOR of the per-index syndromes over the indices that
-    `pattern` reports; n = 300 takes the wider index dtype.  Chunks start
+    `pattern` reports; n = 300 takes the wider index dtype.  Ranges start
     after the empty guess as in a search, and `syndromes` given `found`, the
-    syndromes of every query before the chunk, equals the same XOR in every
-    chunk: chained from the parents' syndromes where `chained` holds, and
-    direct in the first chunk, where it does not."""
+    syndromes of every query before the range, equals the same XOR in every
+    range: chained from the parents' syndromes, written into `found`, where
+    the plan says the range chains, and direct in the first range, where it
+    does not.  A range flagged as chaining has every parent before it."""
     from grandnoma import grand
 
     rng = np.random.default_rng(36)
@@ -508,24 +626,30 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     indices = np.arange(n)  # pattern(q, indices) reports 1-based index i as i - 1
     budget = _chunk_ends(0)[-1] if n == 128 else 3_000
     order = grand._OrbOrder(n, n)
-    found = np.zeros(1, np.uint16)  # the empty guess
+    plan = order.plans.setdefault((None, budget), [])
+    while order.extend(plan, None, budget):
+        pass
+    assert [b for _, b, _ in plan] == [end for end in _chunk_ends(1) if end < budget] + [budget]
+    found = np.zeros(budget, np.uint16)  # room for every query; column 0, the empty guess, is 0
     widened = checked = chained = 0
-    for a, b in order.chunks(1, None, budget):
+    for a, b, chains in plan:
+        assert a == max(checked, 1)
         patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
         want = [_xor_over(table, p) for p in patterns]
         assert order.syndromes(synd, a, b).tolist() == want
-        assert order.syndromes(synd, a, b, found).tolist() == want
-        assert a > 1 or not order.chained(a, b)
-        chained += order.chained(a, b)
-        found = np.concatenate([found, np.array(want, np.uint16)])
+        assert order.syndromes(synd, a, b, found if chains else None).tolist() == want
+        assert a > 1 or not chains
+        assert not chains or order.parent[a:b].max() < a
+        chained += chains
+        found[a:b] = want  # already there where the range chained
         widened += len(patterns[0]) < len(patterns[-1])
         checked = b
     assert checked == budget
     assert widened  # some chunk's width grew mid-chunk
     assert chained >= 3
-    assert not order.chained(2, 130)  # ranges off the chunk schedule; (2, 130] holds parents of its own
+    assert order.parent[2:130].max() >= 2  # ranges off the chunk schedule; (2, 130] holds parents of its own
     for a in (2, 64, 200):
-        assert order.syndromes(synd, a, a + 128, found[:a]).tolist() == found[a : a + 128].tolist()
+        assert order.syndromes(synd, a, a + 128).tolist() == found[a : a + 128].tolist()
 
 
 @pytest.mark.parametrize("n,cap,count", [

@@ -424,7 +424,8 @@ def _mixed_block(spec, shape, seed):
 @pytest.mark.parametrize("spec,kwargs", DECODE_CASES)
 def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkeypatch):
     """The block decode calls the decoder once per word, codewords included
-    (the benchmark's tracer times and re-decodes those calls), and gives
+    (the benchmark's tracer times and re-decodes those calls), hands each
+    failing word's ORBGRAND call its ranking and a codeword's none, and gives
     every word the codeword, query count and abandon flag of its own decoder
     call and of `grand_decode` over the pattern streams."""
     cfg = ScenarioConfig(scenario="grand", channel="awgn", ebn0_db=4.0, crc=spec, **kwargs)
@@ -434,12 +435,13 @@ def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkey
     channel = awgn_channel(n)
     words = hard_demod(y)
     decoder = "orbgrand_decode" if cfg.decoder == "orbgrand" else "hard_grand_decode"
-    calls, syndromes = [], []
+    calls, syndromes, rankings = [], [], []
     original = getattr(link, decoder)
 
     def counted(word, *args, **kwargs):
         calls.append(word)
         syndromes.append(kwargs.get("syndrome"))
+        rankings.append(kwargs.get("positions"))
         return original(word, *args, **kwargs)
 
     monkeypatch.setattr(link, decoder, counted)
@@ -450,9 +452,13 @@ def test_block_decode_equals_per_word_and_reference_decodes(spec, kwargs, monkey
     assert codewords.shape == words.shape and queries.shape == abandoned.shape == (3, 11)
     llrs = compute_llrs(y, 0.7, effective_noise_variance(cfg.sigma2, channel, 0.2)).reshape(-1, n)
     passed = 0
-    for word, llr, got, q, a in zip(words.reshape(-1, n), llrs, codewords.reshape(-1, n),
-                                    queries.ravel(), abandoned.ravel()):
+    for word, llr, ranking, got, q, a in zip(words.reshape(-1, n), llrs, rankings, codewords.reshape(-1, n),
+                                             queries.ravel(), abandoned.ravel()):
         passed += code.check(word)
+        if cfg.decoder == "orbgrand" and not code.check(word):
+            assert np.array_equal(ranking, rank_by_reliability(llr))
+        else:
+            assert ranking is None
         if cfg.decoder == "orbgrand":
             one = orbgrand_decode(word, llr, code, max_logistic_weight=cfg.orb_max_logistic_weight,
                                   query_budget=cfg.orb_query_budget)

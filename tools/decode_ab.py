@@ -1,6 +1,6 @@
 """Decoder CPU time of a parent commit against this checkout, in one process.
 
-    python3 tools/decode_ab.py --workload orb-awgn-14db --parent HEAD~1 [--seed 1] [--rounds 5]
+    python3 tools/decode_ab.py --workload orb-awgn-14db --parent HEAD~1 [--seed 1] [--rounds 31]
 
 One repetition of the workload (its first, at `--seed`) runs on one worker
 under perfbench's span tracer with every decoder call captured
@@ -24,7 +24,7 @@ the rounds.  A round replays 1,024 captured calls of `orb-awgn-14db`,
 about 20 ms of CPU per side, so one round resolves little: on code that
 did not change, the `130+` bucket read 0.62-1.45 per round, with a median
 of 0.936 over 5 rounds and 0.976 over 31 (2-core host).  A per-call claim
-of a few percent therefore needs about 30 rounds.
+of a few percent therefore needs about 30 rounds, the default.
 
 Every result (codeword, pattern, query count, abandon flag) of either side
 must equal the captured one, or the script exits with status 1.
@@ -33,8 +33,11 @@ The replay times decoder calls only.  Each side gets the captured keywords
 that its decoder's signature accepts, so a parent whose decoders lack
 `syndrome=` (before DECISIONS.md, D25) takes each word's syndrome inside its
 calls, while the change is handed the one that `link` took over the whole
-block, outside the replay.  Against such a parent the tool therefore
-overstates the per-call saving; the block pass's own cost shows only end to
+block, outside the replay.  Likewise, a parent whose `orbgrand_decode` lacks
+`positions=` (before D26) ranks each failing word inside its call, while the
+change is handed the row of the block ranking that `link` ran.  Against such
+a parent the tool therefore overstates the per-call saving by the syndrome
+pass and the sort that now run in `link`; their own cost shows only end to
 end (`tools/bench_pairs.py`).
 """
 
@@ -127,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", required=True, help="commit to compare with, e.g. HEAD~1")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=31)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
