@@ -13,15 +13,16 @@ a codebook query is an XOR of per-position syndromes, and what each decoder
 caches per process grows only as far as the longest search so far has
 needed.  ORBGRAND caches its order of rank sets, built one logistic-weight
 class at a time, with each query's largest rank and its parent (the query
-that flips the same ranks but that one), and per cap and budget a plan of
-growing chunks.  It scans them under the word's ranking, or a block sort's
-row: the first chunk with one gather and one XOR-reduce over whole columns,
-and each later one, whose parents all lie before it, as its parents'
-syndromes XOR those of their largest ranks.  Hard GRAND's syndromes do not
-depend on the word at all, so it caches no order: it keeps one dict from
-each syndrome to its first query and pattern, found by scanning
-`itertools.combinations` one weight at a time, and looks the word's syndrome
-up there.
+that flips the same ranks but that one), per cap and budget a plan of
+growing chunks, and one syndrome buffer per syndrome dtype.  A search scans
+the chunks under the word's ranking, or a block sort's row, into that
+buffer: a chunk whose parents all lie before it as its parents' syndromes
+XOR those of their largest ranks, and any other, the first always, with one
+gather and one XOR-reduce over the rank rows its plan entry carries.  Hard
+GRAND's syndromes do not depend on the word at all, so it caches no order:
+it keeps one dict from each syndrome to its first query and pattern, found
+by scanning `itertools.combinations` one weight at a time, and looks the
+word's syndrome up there.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .crc import CrcCode, CrcSpec
 
 _FIRST_CHUNK = 128  # queries per syndrome chunk at the start of a search or a scan ...
 _MAX_CHUNK = 4096  # ... doubling up to this
-_DENSE = 1 + 3 * _FIRST_CHUNK  # queries 1..385: an ORBGRAND search's first two chunks
 
 
 @dataclass
@@ -178,7 +178,8 @@ def grand_decode(
 class _OrbOrder:
     """The ORBGRAND order of the rank sets of 1..n with at most
     `max_hamming_weight` ranks, built one logistic-weight class at a time
-    as far as the longest search so far has needed.
+    as far as the longest search so far has needed, and every other piece
+    of a search that does not depend on the word.
 
     Query 1 is the empty guess.  Logistic weights never decrease along the
     order, so a weight cap is a prefix: `_weight_end[w]` counts the queries
@@ -186,26 +187,24 @@ class _OrbOrder:
     m; it has a smaller logistic weight, so it comes earlier.  Each query
     keeps m in `last` and its parent's column in `parent`: its syndrome is
     its parent's XOR `synd[m]`, and `ranks` rebuilds its other ranks by
-    walking parents.  Whole columns stay in `cols` only for the classes
-    that start among the first `_DENSE` queries, which a search's first two
-    chunks scan directly: one row per flip slot and one column per query,
-    ranks largest first and padded with 0, so that with `synd[0] = 0` a
-    query's syndrome is the XOR of `synd` over its column.  Class L is
-    every member of class L - m whose ranks are all below m, extended by m,
-    over all m, sorted by flip count and then by rank tuple, the order of
-    `_orb_rank_sets`.  The empty guess has `last` 0 and is its own parent.
+    walking parents.  Class L is every member of class L - m whose ranks
+    are all below m, extended by m, over all m, sorted by flip count and
+    then by rank tuple, the order of `_orb_rank_sets`.  The empty guess has
+    `last` 0 and is its own parent.  `plans` holds each cap and budget's
+    chunks, and `found` one buffer per syndrome dtype for the syndromes of
+    the current search by column, as long as `last`; column 0, the empty
+    guess's, stays 0.
     """
 
     def __init__(self, n: int, max_hamming_weight: int):
         self._n, self._cap = n, max_hamming_weight
         self._last_weight = max_hamming_weight * (2 * n - max_hamming_weight + 1) // 2
-        self.cols = np.zeros((1, 1), np.intp)  # the empty guess's column; intp gathers without a cast
         self.last = np.zeros(1, np.min_scalar_type(n))
         self.parent = np.zeros(1, np.intp)
-        self.filled = self._dense = 1  # queries filled, and those with whole columns
-        self.plans: dict[tuple, list[tuple[int, int, bool]]] = {}  # (cap, budget): chunks, by `extend`
+        self.found: dict[np.dtype, np.ndarray] = {}
+        self.filled = 1
+        self.plans: dict[tuple, list[tuple[int, int, np.ndarray | None]]] = {}  # (cap, budget): chunks, by `extend`
         self._weight_end = [1]
-        self._size_start = [0]  # [k]: first query (0-based) that flips k or more ranks
         self._reach = [0]  # [w]: the largest parent of any query of weight <= w
         self.exhausted = self._last_weight == 0
 
@@ -213,11 +212,12 @@ class _OrbOrder:
         while self.filled < upto and not self.exhausted:
             self._add_class(len(self._weight_end))
 
-    def extend(self, plan: list[tuple[int, int, bool]], cap: int | None, budget: int | None) -> bool:
+    def extend(self, plan: list[tuple[int, int, np.ndarray | None]], cap: int | None, budget: int | None) -> bool:
         """Append to `plan` the next chunk (a, b] of a search under the cap and
-        budget, sizes doubling from query 1, and whether it chains: every
-        parent of the classes it reaches is among queries 1..a, never in the
-        first.  False at the order's end.  Appended chunks are final (D26)."""
+        budget, sizes doubling from query 1, and its rank rows: None when it
+        chains, as every parent of the classes it reaches is among queries
+        1..a, never in the first; else `ranks` of its columns, as wide as its
+        most flips.  False at the order's end.  Appended chunks are final (D26)."""
         a, size = plan[-1][1] if plan else 1, min(_FIRST_CHUNK << len(plan), _MAX_CHUNK)
         limit = math.inf if budget is None else budget
         self.fill(min(a + size, limit))
@@ -228,7 +228,11 @@ class _OrbOrder:
         b = min(a + size, limit)
         if b <= a:
             return False
-        plan.append((a, b, a > 1 and self._reach[bisect.bisect_right(self._weight_end, b - 1)] < a))
+        weight, rows = bisect.bisect_right(self._weight_end, b - 1), None  # query b's class
+        if a == 1 or self._reach[weight] >= a:
+            rows = self.ranks(np.arange(a, b), self._width(weight))
+            rows = rows[: np.count_nonzero(rows.any(axis=1))].astype(np.intp)  # intp gathers without a cast
+        plan.append((a, b, rows))
         return True
 
     def ranks(self, columns: np.ndarray, width: int) -> np.ndarray:
@@ -240,50 +244,47 @@ class _OrbOrder:
             columns = self.parent.take(columns)
         return rows
 
+    def _width(self, weight: int) -> int:
+        return min(self._cap, (math.isqrt(8 * weight + 1) - 1) // 2)  # most ranks summing to `weight`
+
     def _add_class(self, weight: int) -> None:
         ends, sources = self._weight_end, []
         for m in range(1, min(self._n, weight) + 1):
             lo, hi = ends[weight - m - 1] if weight > m else 0, ends[weight - m]
             sources.append(lo + np.flatnonzero(self.last[lo:hi] < m))
         parent = np.concatenate(sources)
-        width = min(self._cap, (math.isqrt(8 * weight + 1) - 1) // 2)  # most ranks summing to `weight`
+        width = self._width(weight)
         block = np.empty((width + 1, len(parent)), self.last.dtype)
         block[0] = np.repeat(np.arange(1, len(sources) + 1), [len(s) for s in sources])
         block[1:] = self.ranks(parent, width)
         fits = block[width] == 0  # the parent leaves room for m under the Hamming cap
         block, parent = block[:width, fits], parent[fits]
-        sizes = np.count_nonzero(block, axis=0)
         # by flip count, then by the rows from the last up: as rows past a
         # column's flip count are 0, that is its smallest rank, ..., its largest
-        pick = np.lexsort((*block, sizes))
-        block, parent, sizes = block[:, pick], parent[pick], sizes[pick]
+        pick = np.lexsort((*block, np.count_nonzero(block, axis=0)))
         lo, hi = self.filled, self.filled + len(pick)
-        if hi > len(self.last):
+        if hi > len(self.last):  # grow every per-query array at once, copying all of it
             more = max(hi, len(self.last) * 5 // 4) - len(self.last)
             self.last, self.parent = np.pad(self.last, (0, more)), np.pad(self.parent, (0, more))
-        self.last[lo:hi] = block[0]
-        self.parent[lo:hi] = parent
-        if lo < _DENSE:  # widths never decrease from class to class
-            self.cols = np.hstack([np.pad(self.cols, ((0, width - len(self.cols)), (0, 0))), block])
-            self._dense = hi
-        for k in range(len(self._size_start), int(sizes[-1]) + 1):
-            self._size_start.append(lo + int(np.argmax(sizes >= k)))
+            self.found = {dtype: np.pad(found, (0, more)) for dtype, found in self.found.items()}
+        self.last[lo:hi] = block[0, pick]
+        self.parent[lo:hi] = parent[pick]
         self._reach.append(max(self._reach[-1], int(parent.max())))
         self._weight_end.append(hi)
         self.filled = hi
         self.exhausted = weight == self._last_weight
 
-    def syndromes(self, synd: np.ndarray, a: int, b: int, found: np.ndarray | None = None) -> np.ndarray:
-        """Syndromes of queries a+1..b.  Given `found`, those of queries 1..a by
-        column with room through b, for a chunk that chains: the parents'
-        syndromes XOR their largest ranks', written into found[a:b].  Else: one
-        gather of the block's columns, as wide as the most flips among them
-        (from `cols` in the dense prefix, by `ranks` past it), and one XOR."""
-        if found is not None:
+    def syndromes(self, synd: np.ndarray, a: int, b: int, rows: np.ndarray | None) -> np.ndarray:
+        """Syndromes of queries a+1..b, written into found[a:b] for synd's
+        dtype, which must hold those of queries 1..a when the chunk chains
+        (`rows` None): its parents' syndromes XOR their largest ranks'.  Else
+        one gather of `synd` over the chunk's rank rows and one XOR."""
+        found = self.found.get(synd.dtype)
+        if found is None:
+            found = self.found[synd.dtype] = np.zeros(len(self.last), synd.dtype)
+        if rows is None:
             return np.bitwise_xor(found.take(self.parent[a:b]), synd.take(self.last[a:b]), out=found[a:b])
-        width = bisect.bisect_left(self._size_start, b) - 1
-        block = self.cols[:width, a:b] if b <= self._dense else self.ranks(np.arange(a, b), width)
-        return np.bitwise_xor.reduce(synd.take(block), axis=0)
+        return np.bitwise_xor.reduce(synd.take(rows), axis=0, out=found[a:b])
 
     def pattern(self, query: int, positions: np.ndarray) -> tuple[int, ...]:
         """Bit positions flipped by `query`; rank r is position positions[r-1]."""
@@ -409,7 +410,7 @@ def orbgrand_decode(
         if math.isnan(llrs.min()):  # NaN only for a NaN term, and never overflows
             raise ValueError("llrs contain NaN")
         return DecodeResult(word.copy(), (), 1, False)
-    positions = _rank_rows(llrs[np.newaxis])[0] if positions is None else positions
+    positions = rank_by_reliability(llrs) if positions is None else positions
     key = (n, n if max_hamming_weight is None else min(n, max_hamming_weight))
     order = _ORB_ORDERS.get(key)
     if order is None:
@@ -418,22 +419,14 @@ def orbgrand_decode(
     synd = np.zeros(n + 1, table.dtype)
     synd[1:] = table[positions]
     plan = order.plans.setdefault((max_logistic_weight, query_budget), [])
-    queries, found, i = 1, None, 0  # found: the syndromes of queries 1..b by column, once a chunk missed
+    queries, i = 1, 0
     while i < len(plan) or order.extend(plan, max_logistic_weight, query_budget):
-        a, b, chained = plan[i]
-        syndromes = order.syndromes(synd, a, b, found if chained else None)
-        hits = syndromes == target
+        a, b, rows = plan[i]
+        hits = order.syndromes(synd, a, b, rows) == target
         first = int(hits.argmax())
         if hits[first]:
             query = a + first + 1
             pattern = order.pattern(query, positions)
             return DecodeResult(_apply_pattern(word, pattern), pattern, query, False)
-        ahead = 3 * b - 2 * a  # chunks at most double, so the next one ends by here
-        if found is None or len(found) < ahead:  # room for it, and for the queries cached so far
-            grown = np.empty(max(2 * ahead, order.filled), synd.dtype)
-            grown[:b] = 0 if found is None else found[:b]  # the empty guess's 0; a chained chunk's own
-            found = grown
-        if not chained:
-            found[a:b] = syndromes
         queries, i = b, i + 1
     return DecodeResult(word.copy(), (), queries, True)

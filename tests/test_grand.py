@@ -386,6 +386,7 @@ def test_decoders_given_the_syndrome_decode_as_without_it():
 
 
 CRC32 = CrcSpec(0x82608EDB, 96, 128)
+CRC8 = CrcSpec(0xA6, 120, 128)
 RANKED_CAPS = [dict(query_budget=budget) for budget in (1, 128, 129, 130, 385, 386, 387)]
 RANKED_CAPS += [dict(query_budget=None, max_logistic_weight=w) for w in (14, 15, 20)]  # end at 110, 137, 371
 RANKED_CAPS += [dict(query_budget=1_000, max_hamming_weight=h) for h in range(5)]
@@ -445,7 +446,9 @@ def test_plans_built_by_interleaved_searches_decode_like_the_reference(monkeypat
             whole, fresh = [], grand._OrbOrder(n, hamming)
             while fresh.extend(whole, cap, budget):
                 pass
-            assert plan == whole[: len(plan)]
+            assert len(plan) <= len(whole)
+            for (a, b, rows), (whole_a, whole_b, whole_rows) in zip(plan, whole):
+                assert (a, b) == (whole_a, whole_b) and np.array_equal(rows, whole_rows)
             assert budget != 1 or plan == []
     assert len(grand._ORB_ORDERS[(128, 128)].plans) == 6
     whole = []  # past two chunks of the largest size
@@ -470,6 +473,84 @@ def test_first_deep_searches_of_an_empty_order_decode_like_the_reference(monkeyp
         fast = orbgrand_decode(word, llrs, code, query_budget=10_000)
         _assert_same(fast, _orb_reference(word, llrs, code, query_budget=10_000))
         assert fast.queries == query and not fast.abandoned
+
+
+def test_first_searches_under_three_syndrome_widths_share_one_order(monkeypatch):
+    """From an empty order, searches at n = 128 under CRC-8, CRC-12 and
+    CRC-32 take turns, each going deeper than the one before, so that the
+    order holds a uint8, a uint16 and a uint32 syndrome buffer and later
+    searches pad all three in mid-search; every word decodes like the
+    reference at its query, and every buffer stays as long as `last` with
+    the empty guess's 0 in column 0."""
+    from grandnoma import grand
+
+    llrs = np.arange(1.0, 129.0)  # rank r is position r - 1
+    patterns = list(itertools.islice(orb_pattern_stream(rank_by_reliability(llrs)), 9_000))
+    first = {spec: _first_syndrome_queries(patterns, get_code(spec).position_syndrome_array)
+             for spec in (CRC8, CRC12)}
+    first[CRC32] = [1_000, 3_000, 8_500]
+    jobs = [(CRC8, 800), (CRC32, 1_000), (CRC12, 2_000), (CRC8, 1_100), (CRC32, 3_000), (CRC12, 6_000),
+            (CRC32, 8_500), (CRC12, 9_000)]  # (spec, about where its word first matches)
+    monkeypatch.setattr(grand, "_ORB_ORDERS", {})
+    padded = 0
+    for spec, near in jobs:
+        code, query = get_code(spec), max(q for q in first[spec] if q <= near)
+        word = np.zeros(128, np.uint8)
+        word[list(patterns[query - 1])] = 1
+        order = grand._ORB_ORDERS.get((128, 128))
+        before = (0, 0) if order is None else (len(order.found), len(order.last))
+        fast = orbgrand_decode(word, llrs, code, query_budget=10_000)
+        _assert_same(fast, _orb_reference(word, llrs, code, query_budget=10_000))
+        assert fast.queries == query > 385 and not fast.abandoned
+        order = grand._ORB_ORDERS[(128, 128)]
+        padded += before[0] == 3 and len(order.last) > before[1]
+        for found in order.found.values():
+            assert len(found) == len(order.last) and found[0] == 0
+    assert sorted(np.dtype(t).itemsize for t in order.found) == [1, 2, 4]
+    assert padded >= 2
+
+
+LATE_DIRECT = [(12, 12), (16, 3), (16, 4), (16, 5), (16, 6), (16, 7), (16, 8), (20, 3), (20, 4), (20, 5), (32, 3)]
+
+
+@pytest.mark.parametrize("n,cap", LATE_DIRECT)
+def test_late_chunks_with_parents_inside_them_carry_rank_rows(n, cap):
+    """Short and Hamming-capped orders have chunks past query 385 that
+    cannot chain, since some of their parents lie inside them, so their
+    plan entries carry rank rows.  Through the whole order, every entry's
+    syndromes equal the XOR over what `pattern` reports for each query, and
+    words whose first match is the first or the last one inside such a
+    chunk decode like the reference; under a degree n - 1 CRC a pattern is
+    a first match unless the one other pattern with its syndrome comes
+    earlier."""
+    from grandnoma import grand
+
+    rng = np.random.default_rng(40)
+    table = rng.integers(1, 2**32, n, dtype=np.uint64).astype(np.uint32)
+    synd = np.concatenate([[0], table]).astype(np.uint32)
+    indices = np.arange(n)  # pattern(q, indices) reports 1-based index i as i - 1
+    order = grand._OrbOrder(n, cap)
+    plan = []
+    while order.extend(plan, None, None):
+        pass
+    late = [(a, b) for a, b, rows in plan if rows is not None and b > 385]
+    assert late and plan[-1][1] == order.filled
+    for a, b, rows in plan:
+        want = [_xor_over(table, order.pattern(q, indices)) for q in range(a + 1, b + 1)]
+        assert order.syndromes(synd, a, b, rows).tolist() == want
+
+    code = get_code(CrcSpec(0x82608EDB >> (33 - n), 1, n))
+    llrs = np.arange(1.0, n + 1)  # rank r is position r - 1
+    patterns = list(orb_pattern_stream(rank_by_reliability(llrs), max_hamming_weight=cap))
+    first = _first_syndrome_queries(patterns, code.position_syndrome_array)
+    inside = [[q for q in first if a < q <= b] for a, b in late]
+    assert inside[0]  # the first late chunk holds first matches; n = 12's last one holds none
+    for query in {q for queries in inside for q in queries[:1] + queries[-1:]}:
+        word = np.zeros(n, np.uint8)
+        word[list(patterns[query - 1])] = 1
+        fast = orbgrand_decode(word, llrs, code, max_hamming_weight=cap)
+        _assert_same(fast, _orb_reference(word, llrs, code, max_hamming_weight=cap))
+        assert fast.queries == query
 
 
 def test_whole_order_runs_out_before_the_budget():
@@ -608,16 +689,24 @@ def test_matches_reference_on_both_sides_of_chunk_boundaries(monkeypatch):
                     assert results[-1][0].queries == query
 
 
+def _gathered(order, synd, a, b):
+    """Syndromes of queries a+1..b by one gather of `synd` over all n rank
+    rows of their columns, and one XOR."""
+    return np.bitwise_xor.reduce(synd.take(order.ranks(np.arange(a, b), len(synd) - 1)), axis=0).tolist()
+
+
 @pytest.mark.parametrize("n", [128, 300])
 def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     """For every query of every range of the ORBGRAND plan, `syndromes`
     equals the XOR of the per-index syndromes over the indices that
     `pattern` reports; n = 300 takes the wider index dtype.  Ranges start
-    after the empty guess as in a search, and `syndromes` given `found`, the
-    syndromes of every query before the range, equals the same XOR in every
-    range: chained from the parents' syndromes, written into `found`, where
-    the plan says the range chains, and direct in the first range, where it
-    does not.  A range flagged as chaining has every parent before it."""
+    after the empty guess as in a search, and so does a gather over each
+    range's whole columns through `ranks`.  `syndromes`, with the order's
+    buffer holding the syndromes of every query before the range, equals
+    the same XOR in every range and writes it into that buffer: chained
+    from the parents' syndromes where the plan carries no rank rows, and
+    gathered over the rows it carries in the first range, which are as wide
+    as its most flips.  A range that chains has every parent before it."""
     from grandnoma import grand
 
     rng = np.random.default_rng(36)
@@ -632,16 +721,19 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     assert [b for _, b, _ in plan] == [end for end in _chunk_ends(1) if end < budget] + [budget]
     found = np.zeros(budget, np.uint16)  # room for every query; column 0, the empty guess, is 0
     widened = checked = chained = 0
-    for a, b, chains in plan:
+    for a, b, rows in plan:
+        chains = rows is None
         assert a == max(checked, 1)
         patterns = [order.pattern(q, indices) for q in range(a + 1, b + 1)]
         want = [_xor_over(table, p) for p in patterns]
-        assert order.syndromes(synd, a, b).tolist() == want
-        assert order.syndromes(synd, a, b, found if chains else None).tolist() == want
+        assert _gathered(order, synd, a, b) == want
+        assert order.syndromes(synd, a, b, rows).tolist() == want
+        assert order.found[synd.dtype][a:b].tolist() == want
         assert a > 1 or not chains
         assert not chains or order.parent[a:b].max() < a
+        assert chains or rows.shape == (max(map(len, patterns)), b - a)
         chained += chains
-        found[a:b] = want  # already there where the range chained
+        found[a:b] = want
         widened += len(patterns[0]) < len(patterns[-1])
         checked = b
     assert checked == budget
@@ -649,7 +741,7 @@ def test_chunk_syndromes_are_the_xor_over_each_reported_pattern(n):
     assert chained >= 3
     assert order.parent[2:130].max() >= 2  # ranges off the chunk schedule; (2, 130] holds parents of its own
     for a in (2, 64, 200):
-        assert order.syndromes(synd, a, a + 128).tolist() == found[a : a + 128].tolist()
+        assert _gathered(order, synd, a, a + 128) == found[a : a + 128].tolist()
 
 
 @pytest.mark.parametrize("n,cap,count", [
